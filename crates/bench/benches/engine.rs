@@ -1,6 +1,6 @@
 //! Engine comparison bench: every `Backend::all()` operator (mailbox
-//! interpreter, threaded executor, compiled sequential workspace,
-//! compiled persistent pool) measured through the one `SpmvOperator`
+//! interpreter, compiled sequential workspace, compiled persistent
+//! pool) measured through the one `SpmvOperator`
 //! interface on generator-suite matrices. Compile (inspector) time is
 //! reported separately from per-iteration time, and two acceptance
 //! ratios —
@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use s2d_baselines::partition_1d_rowwise;
 use s2d_core::heuristic::{s2d_from_vector_partition, HeuristicConfig};
-use s2d_engine::{Backend, CompiledPlan, KernelFormat, ParallelEngine};
+use s2d_engine::{Backend, CompiledPlan, KernelFormat, ParallelEngine, PoolOptions};
 use s2d_gen::fem::fem_like;
 use s2d_gen::powerlaw::power_law;
 use s2d_gen::rmat::{rmat, RmatConfig};
@@ -241,7 +241,7 @@ fn acceptance_summary(_c: &mut Criterion) {
     cp.execute(&mut ws, &x, &mut y); // warm the buffers
     let seq = best_of(3, 20, || cp.execute(&mut ws, &x, &mut y));
 
-    let mut pool = ParallelEngine::new(cp);
+    let mut pool = ParallelEngine::with_options(cp, PoolOptions::default());
     pool.execute(&x, &mut y);
     let pooled = best_of(3, 20, || pool.execute(&x, &mut y));
 

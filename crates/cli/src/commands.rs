@@ -76,7 +76,6 @@ report file (the CI smoke artifact).
 
 ENGINES (--engine <backend>)
   mailbox            deterministic sequential interpreter (the oracle)
-  threaded           one OS thread per rank over message-passing channels
   compiled-seq       compiled plan, sequential zero-alloc workspace
   compiled-pool[:N][@pin]  compiled plan on the persistent worker pool
                      (N workers; default one per rank, capped at CPUs;
@@ -109,8 +108,8 @@ KERNEL ISA (--isa, compiled engines only)
 
 --rhs R runs a batched multi-RHS SpMV (Y = A·X with R columns). The
 compiled backends execute the whole block at once (row-major X, one
-len x R message block per exchange); the interpreters run column by
-column as the oracle.
+len x R message block per exchange); the mailbox oracle runs column
+by column.
 
 `spmv --profile` runs the multiply with telemetry on and prints the
 execution report: per-rank phase times (compute / gather / scatter /
@@ -509,8 +508,8 @@ pub fn run_engine_batch(
 /// [`Backend`]: `--engine` parses straight into the enum and the whole
 /// run goes through the one `SpmvOperator` interface. The compiled
 /// backends run the batch natively with kernels lowered to `format`;
-/// the interpreters run column by column (they are the oracle, not the
-/// fast path). `engine == "auto"` compiles first and then picks
+/// the mailbox interpreter runs column by column (it is the oracle, not
+/// the fast path). `engine == "auto"` compiles first and then picks
 /// compiled-seq vs compiled-pool from the plan's op count
 /// (`Backend::auto`).
 pub fn run_engine_batch_with(
@@ -624,7 +623,7 @@ fn cmd_spmv(args: &Args) {
         (None, None) => fail("spmv requires a partition file or --partitioner <method>"),
     };
     let alg = args.get_or("alg", "auto");
-    let engine = args.get_or("engine", "threaded");
+    let engine = args.get_or("engine", "auto");
     let format: KernelFormat = match args.get_or("kernel-format", "csr").parse() {
         Ok(f) => f,
         Err(e) => fail(e),

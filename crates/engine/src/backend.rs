@@ -1,33 +1,33 @@
 //! The [`Backend`] selector and the compiled [`SpmvOperator`]
 //! implementations.
 //!
-//! Every execution path in the workspace — the two interpreting
-//! executors from `s2d-spmv` and the two compiled paths from this crate
-//! — is constructible from the same [`SpmvPlan`] through
+//! Every whole-plan execution path in the workspace — the mailbox
+//! oracle from `s2d-spmv` and the two compiled paths from this crate —
+//! is constructible from the same [`SpmvPlan`] through
 //! [`Backend::build`], which returns a boxed [`SpmvOperator`]. Consumers
 //! (solvers, the CLI, benches, the differential and conformance
 //! harnesses) select a backend by value or by name and stay otherwise
 //! backend-agnostic; adding a new execution path means adding one enum
-//! variant and one operator struct.
+//! variant and one operator struct. Every backend is deterministic and
+//! bitwise equal to the mailbox oracle. The distributed per-rank
+//! executor over runtime endpoints ([`crate::distributed`]) is not a
+//! backend: it runs inside an SPMD world (`s2d-solver`'s `RankCtx`) or
+//! behind `s2d-serve`'s `ShardedOperator`.
 //!
 //! # Choosing a backend
 //!
 //! * [`Backend::Mailbox`] — deterministic sequential interpreter.
 //!   Slowest by far (hash maps everywhere); use it as the semantic
 //!   oracle, never as a fast path.
-//! * [`Backend::Threaded`] — one OS thread per virtual processor over
-//!   the message-passing runtime. Spawns threads per call and its
-//!   accumulation order varies between runs — the *concurrent
-//!   validation* path.
 //! * [`Backend::CompiledSeq`] — the flat-buffer compiled plan on a
-//!   sequential [`Workspace`]. Zero allocation per
-//!   iteration; the fastest choice whenever one iteration costs less
-//!   than ~1 ms (pool barrier overhead dominates below that) and the
+//!   sequential [`Workspace`]. Zero allocation per iteration; the
+//!   fastest choice below [`Backend::POOL_OPS_CROSSOVER`] multiply-adds
+//!   per iteration ([`Backend::POOL_OPS_CROSSOVER_SIMD`] with SIMD
+//!   kernels), where the pool's barrier overhead dominates, and the
 //!   right baseline for kernel work.
 //! * [`Backend::CompiledPool`] — the same compiled plan on the
-//!   persistent worker pool. Wins on matrices big enough that one
-//!   iteration costs ≳ 1 ms; `threads = 0` sizes the pool to
-//!   `min(K, available CPUs)`.
+//!   persistent worker pool. Wins above that crossover; `threads = 0`
+//!   sizes the pool to `min(K, available CPUs)`.
 //!
 //! Undecided? [`Backend::auto`] applies the crossover rule to a
 //! compiled plan (`--engine auto` on the CLI). Kernel format: the
@@ -48,7 +48,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use s2d_obs::{Phase, TelemetrySink};
-use s2d_spmv::{MailboxOperator, SpmvOperator, SpmvPlan, ThreadedOperator};
+use s2d_spmv::{MailboxOperator, SpmvOperator, SpmvPlan};
 
 use crate::compile::CompiledPlan;
 use crate::exec::Workspace;
@@ -56,13 +56,11 @@ use crate::formats::{KernelFormat, KernelIsa};
 use crate::pool::{ParallelEngine, PoolOptions};
 use crate::telemetry::ExecTelemetry;
 
-/// Selects one of the four SpMV execution backends.
+/// Selects one of the three SpMV execution backends.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Backend {
     /// Deterministic sequential interpreter (the semantic oracle).
     Mailbox,
-    /// One OS thread per rank over message-passing channels.
-    Threaded,
     /// Compiled plan, sequential zero-alloc workspace execution.
     CompiledSeq,
     /// Compiled plan on the persistent worker pool (`threads = 0` →
@@ -80,20 +78,14 @@ pub enum Backend {
 impl Backend {
     /// Every backend, with default parameters — the iteration set for
     /// conformance and differential sweeps.
-    pub fn all() -> [Backend; 4] {
-        [
-            Backend::Mailbox,
-            Backend::Threaded,
-            Backend::CompiledSeq,
-            Backend::CompiledPool { threads: 0, pin: false },
-        ]
+    pub fn all() -> [Backend; 3] {
+        [Backend::Mailbox, Backend::CompiledSeq, Backend::CompiledPool { threads: 0, pin: false }]
     }
 
     /// Short stable label (bench ids, CLI output, test diagnostics).
     pub fn label(&self) -> &'static str {
         match self {
             Backend::Mailbox => "mailbox",
-            Backend::Threaded => "threaded",
             Backend::CompiledSeq => "compiled-seq",
             Backend::CompiledPool { .. } => "compiled-pool",
         }
@@ -105,15 +97,15 @@ impl Backend {
     ///
     /// All setup happens here — plan compilation, buffer allocation,
     /// worker-thread spawn — so that `apply`/`apply_batch` run at
-    /// steady-state cost. The interpreting backends keep a reference to
-    /// the shared plan; the compiled backends drop it after compiling.
+    /// steady-state cost. The mailbox backend keeps a reference to the
+    /// shared plan; the compiled backends drop it after compiling.
     pub fn build(&self, plan: &Arc<SpmvPlan>, width: usize) -> Box<dyn SpmvOperator + Send> {
         self.build_with(plan, width, KernelFormat::CsrSlice)
     }
 
     /// [`Backend::build`] with an explicit [`KernelFormat`] for the
-    /// compiled backends (the interpreting backends have no kernels and
-    /// ignore it).
+    /// compiled backends (the mailbox backend has no kernels and
+    /// ignores it).
     pub fn build_with(
         &self,
         plan: &Arc<SpmvPlan>,
@@ -125,8 +117,8 @@ impl Backend {
 
     /// [`Backend::build_with`] with optional telemetry. With a sink
     /// attached, the compiled backends record per-rank phase spans and
-    /// work counters; the interpreting backends (which have no phase
-    /// structure to hook) are wrapped in an [`ObservedOperator`] that
+    /// work counters; the mailbox backend (which has no phase
+    /// structure to hook) is wrapped in an [`ObservedOperator`] that
     /// accounts whole applications under rank 0. Results are bitwise
     /// identical to the sink-less build.
     ///
@@ -149,8 +141,8 @@ impl Backend {
     /// plus optional telemetry. Every ISA produces bitwise-identical
     /// results (the vector lanes map to the batch dimension, never the
     /// accumulation chain); the knob exists for benchmarking and for
-    /// the tuner's ISA axis. The interpreting backends have no kernels
-    /// and ignore both knobs.
+    /// the tuner's ISA axis. The mailbox backend has no kernels and
+    /// ignores both knobs.
     pub fn build_cfg(
         &self,
         plan: &Arc<SpmvPlan>,
@@ -163,13 +155,6 @@ impl Backend {
         match *self {
             Backend::Mailbox => {
                 let op = MailboxOperator::new(Arc::clone(plan));
-                match sink {
-                    Some(s) => Box::new(ObservedOperator::new(op, s)),
-                    None => Box::new(op),
-                }
-            }
-            Backend::Threaded => {
-                let op = ThreadedOperator::new(Arc::clone(plan));
                 match sink {
                     Some(s) => Box::new(ObservedOperator::new(op, s)),
                     None => Box::new(op),
@@ -194,7 +179,7 @@ impl Backend {
     /// [`CompiledPlan`] of a (matrix, partition, format) combination
     /// skips recompilation entirely and pays only the buffer/worker
     /// setup. The compiled backends clone `cp` (flat-buffer memcpy);
-    /// the interpreting backends take the shared plan as usual. Each
+    /// the mailbox backend takes the shared plan as usual. Each
     /// call yields an independent operator, so several worker threads
     /// can each hold one over the same cached artifact.
     pub fn build_from_compiled(
@@ -206,7 +191,6 @@ impl Backend {
         assert!(width >= 1, "batch width must be at least 1");
         match *self {
             Backend::Mailbox => Box::new(MailboxOperator::new(Arc::clone(plan))),
-            Backend::Threaded => Box::new(ThreadedOperator::new(Arc::clone(plan))),
             Backend::CompiledSeq => Box::new(CompiledSeqOperator::new(cp.clone(), width)),
             Backend::CompiledPool { threads, pin } => {
                 Box::new(CompiledPoolOperator::with_config(cp.clone(), threads, width, pin, None))
@@ -266,7 +250,7 @@ impl Backend {
 impl std::str::FromStr for Backend {
     type Err = String;
 
-    /// Parses the CLI spelling: `mailbox`, `threaded`, `compiled-seq`
+    /// Parses the CLI spelling: `mailbox`, `compiled-seq`
     /// (alias `seq`), `compiled-pool` / `pool` with an optional worker
     /// count as `pool:N` and an optional `@pin` suffix for core
     /// pinning (`pool:4@pin`), and the legacy alias `compiled` for the
@@ -274,7 +258,6 @@ impl std::str::FromStr for Backend {
     fn from_str(s: &str) -> Result<Backend, String> {
         match s {
             "mailbox" => return Ok(Backend::Mailbox),
-            "threaded" => return Ok(Backend::Threaded),
             "compiled-seq" | "seq" => return Ok(Backend::CompiledSeq),
             _ => {}
         }
@@ -293,9 +276,7 @@ impl std::str::FromStr for Backend {
                         .map_err(|_| format!("bad worker count in {s:?} (want pool:N[@pin])"))?;
                     return Ok(Backend::CompiledPool { threads, pin });
                 }
-                Err(format!(
-                    "unknown engine {s:?} (mailbox|threaded|compiled-seq|compiled-pool[:N][@pin])"
-                ))
+                Err(format!("unknown engine {s:?} (mailbox|compiled-seq|compiled-pool[:N][@pin])"))
             }
         }
     }
@@ -481,7 +462,7 @@ impl SpmvOperator for CompiledPoolOperator {
 }
 
 /// Whole-application telemetry for operators with no internal phase
-/// structure to hook (the interpreting backends): each apply is
+/// structure to hook (the mailbox oracle): each apply is
 /// recorded as one compute span under rank 0, plus run-level wall
 /// time and iteration counts on the sink.
 ///
@@ -575,7 +556,6 @@ mod tests {
     fn backend_parse_roundtrip() {
         for (s, want) in [
             ("mailbox", Backend::Mailbox),
-            ("threaded", Backend::Threaded),
             ("compiled-seq", Backend::CompiledSeq),
             ("seq", Backend::CompiledSeq),
             ("compiled", Backend::CompiledPool { threads: 0, pin: false }),
@@ -590,6 +570,11 @@ mod tests {
             assert_eq!(s.parse::<Backend>().unwrap(), want, "{s}");
         }
         assert!("warp".parse::<Backend>().is_err());
+        // `threaded` names no engine; the error lists the valid ones.
+        let err = "threaded".parse::<Backend>().unwrap_err();
+        for engine in ["mailbox", "compiled-seq", "compiled-pool"] {
+            assert!(err.contains(engine), "{err:?} must list {engine}");
+        }
         assert!("pool:x".parse::<Backend>().is_err());
         assert!("mailbox@pin".parse::<Backend>().is_err(), "@pin is a pool-only suffix");
         assert!("seq@pin".parse::<Backend>().is_err());
@@ -645,13 +630,8 @@ mod tests {
             fresh.apply(&x, &mut want);
             cached_a.apply(&x, &mut got_a);
             cached_b.apply(&x, &mut got_b);
-            if fresh.deterministic() {
-                assert_eq!(got_a, want, "{backend}");
-                assert_eq!(got_b, want, "{backend}");
-            } else {
-                assert_close(&got_a, &want);
-                assert_close(&got_b, &want);
-            }
+            assert_eq!(got_a, want, "{backend}");
+            assert_eq!(got_b, want, "{backend}");
         }
     }
 

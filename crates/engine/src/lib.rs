@@ -1,6 +1,6 @@
 //! Compiled SpMV execution engine.
 //!
-//! The interpreting executors in `s2d-spmv` validate plan *semantics*;
+//! The mailbox interpreter in `s2d-spmv` defines plan *semantics*;
 //! this crate makes plans *fast*. It follows the inspector/executor
 //! pattern of the OSKI line and shared-memory SpMV practice: pay a
 //! one-time compilation cost per `(matrix, partition)` pair, then run
@@ -27,7 +27,11 @@
 //! * [`exec`] — the sequential executor over a reusable [`Workspace`];
 //! * [`pool`] — the [`ParallelEngine`]: long-lived OS threads running
 //!   `execute_iters(n)` for solver loops with zero per-iteration
-//!   allocation.
+//!   allocation;
+//! * [`distributed`] — the one distributed executor, [`run_rank`]: one
+//!   rank's [`RankProgram`] over `s2d-runtime` endpoints, receives
+//!   matched in spec order so results are bitwise independent of
+//!   delivery order.
 //!
 //! # Kernel formats
 //!
@@ -35,8 +39,8 @@
 //! loop: [`CompiledPlan::compile_with`] lowers every compute phase to
 //! the requested [`KernelFormat`], and the format is baked into the
 //! kernel's buffer layout (chunk packing, padding, span tables) —
-//! every executor (sequential workspace, worker pool, the solver's
-//! per-rank programs) runs whatever format the plan carries through
+//! every executor (sequential workspace, worker pool, the distributed
+//! per-rank walk) runs whatever format the plan carries through
 //! the one [`Kernel::run_batch`] entry point.
 //!
 //! Selection guidance:
@@ -69,7 +73,7 @@
 //! once (`Y = A·X`): `Kernel::run_batch`, `CompiledPlan::execute_batch`
 //! / `execute_batch_iters` over a [`Workspace`] allocated with
 //! `workspace_batch(r)`, and `ParallelEngine::execute_batch` on a pool
-//! built with `new_batch`/`with_threads_batch`. The memory layout is
+//! built with `PoolOptions { width, .. }`. The memory layout is
 //! row-major everywhere:
 //!
 //! * global vectors: index `g`, column `q` at `x[g*r + q]` — an `n × r`
@@ -92,19 +96,20 @@
 //! column, results are bitwise identical to the single-RHS path: only
 //! the traversal is shared, never the accumulation order.
 //!
-//! `s2d-solver`'s `RankCtx` runs its per-rank SpMV on the same compiled
-//! per-rank programs ([`RankProgram`]) — including the batched layout
-//! via `RankCtx::spmv_batch`, which block power iteration consumes — so
-//! CG, Jacobi, power iteration, block power and PageRank all ride this
-//! path; the interpreting executors remain as the cross-check oracle
-//! (see `crates/engine/tests/props.rs` and the differential harness in
-//! `crates/engine/tests/differential.rs`).
+//! `s2d-solver`'s `RankCtx` and `s2d-serve`'s `ShardedOperator` run
+//! the same compiled per-rank programs ([`RankProgram`]) through
+//! [`run_rank`] — including the batched layout via
+//! `RankCtx::spmv_batch`, which block power iteration consumes — so
+//! CG, Jacobi, power iteration, block power, PageRank and sharded
+//! serving all ride this path; the mailbox interpreter remains as the
+//! single oracle (see `crates/engine/tests/props.rs` and the
+//! differential harness in `crates/engine/tests/differential.rs`).
 //!
 //! # The unified operator surface
 //!
-//! The [`backend`] module puts every execution path — the two
-//! interpreting executors of `s2d-spmv` plus the two compiled paths
-//! here — behind `s2d_spmv::SpmvOperator`, selected by the [`Backend`]
+//! The [`backend`] module puts every whole-plan execution path — the
+//! mailbox oracle of `s2d-spmv` plus the two compiled paths here —
+//! behind `s2d_spmv::SpmvOperator`, selected by the [`Backend`]
 //! enum: `Backend::build(&plan, width)` pays all setup (compilation,
 //! buffers, worker threads) once and returns an operator whose
 //! `apply`/`apply_batch` write into caller-owned buffers with zero
@@ -116,6 +121,7 @@
 
 pub mod backend;
 pub mod compile;
+pub mod distributed;
 pub mod exec;
 pub mod formats;
 pub mod pool;
@@ -123,6 +129,7 @@ pub mod telemetry;
 
 pub use backend::{Backend, CompiledPoolOperator, CompiledSeqOperator, ObservedOperator};
 pub use compile::{CompiledMsg, CompiledPlan, RankProgram, RankStep, NO_SLOT};
+pub use distributed::{run_rank, Payload, RankBuffers};
 pub use exec::Workspace;
 pub use formats::{
     CsrKernel, DenseSplitKernel, Kernel, KernelFormat, KernelIsa, KernelStats, SellKernel, NO_LANE,

@@ -29,7 +29,7 @@
 //!    disjoint. The compiler produces plans with this shape, and
 //!    because every `CompiledPlan` field is public (the solver
 //!    consumes the per-rank programs directly),
-//!    [`ParallelEngine::with_threads`] re-validates it instead of
+//!    [`ParallelEngine::with_options`] re-validates it instead of
 //!    trusting the caller — a hand-built plan that overlaps send
 //!    regions is rejected before any thread runs.
 //! 2. **Temporal**: every writer→reader handoff (staging, the gathered
@@ -74,7 +74,6 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use s2d_obs::{Phase, TelemetrySink};
-use s2d_spmv::SpmvPlan;
 
 use crate::compile::{CompiledMsg, CompiledPlan, RankStep};
 use crate::formats::KernelFormat;
@@ -235,8 +234,8 @@ impl PoolSchedule {
 }
 
 /// Construction knobs for [`ParallelEngine::with_options`]. The
-/// `Default` value reproduces [`ParallelEngine::new`]: default worker
-/// sizing, width 1, the chunked schedule, no pinning, no telemetry.
+/// `Default` value gives default worker sizing, width 1, the chunked
+/// schedule, no pinning and no telemetry.
 #[derive(Clone, Default)]
 pub struct PoolOptions {
     /// Worker count; `0` selects the default sizing
@@ -251,8 +250,7 @@ pub struct PoolOptions {
     /// a silent no-op elsewhere or on failure — affinity is a
     /// performance hint, never a correctness requirement).
     pub pin: bool,
-    /// Optional telemetry sink (see
-    /// [`ParallelEngine::with_telemetry`]).
+    /// Optional telemetry sink (see [`ParallelEngine::with_options`]).
     pub sink: Option<Arc<TelemetrySink>>,
 }
 
@@ -534,63 +532,23 @@ fn validate_for_pool(plan: &CompiledPlan) {
 }
 
 impl ParallelEngine {
-    /// Pool over `plan` with one worker per rank, capped at the number
-    /// of available CPUs.
-    pub fn new(plan: CompiledPlan) -> ParallelEngine {
-        ParallelEngine::new_batch(plan, 1)
-    }
-
-    /// Pool sized for batches of up to `width` right-hand sides, with
-    /// the default worker count.
-    pub fn new_batch(plan: CompiledPlan, width: usize) -> ParallelEngine {
-        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let threads = plan.k.min(cpus).max(1);
-        ParallelEngine::with_threads_batch(plan, threads, width)
-    }
-
-    /// Compiles `plan` and builds the pool in one step.
-    pub fn from_plan(plan: &SpmvPlan) -> ParallelEngine {
-        ParallelEngine::new(CompiledPlan::compile(plan))
-    }
-
-    /// Pool with an explicit worker count (clamped to `1..=plan.k`;
-    /// ranks are distributed over workers in contiguous blocks).
+    /// Builds the pool: every knob (worker count, batch capacity,
+    /// compute schedule, core pinning, telemetry) in one
+    /// [`PoolOptions`]; `PoolOptions::default()` gives one worker per
+    /// rank capped at the available CPUs, width 1, the chunked
+    /// schedule, no pinning and no telemetry. An explicit worker count
+    /// is clamped to `1..=plan.k` (ranks are distributed over workers
+    /// in contiguous blocks).
+    ///
+    /// A telemetry sink makes workers time their compute / gather /
+    /// scatter work per owned rank and their barrier waits (recorded
+    /// under the first rank of each worker's range); results are
+    /// bitwise identical to an uninstrumented pool.
     ///
     /// # Panics
     /// Panics if `plan` violates the invariants the shared-buffer
     /// execution depends on (see `validate_for_pool` in the source) —
     /// plans produced by [`CompiledPlan::compile`] always satisfy them.
-    pub fn with_threads(plan: CompiledPlan, threads: usize) -> ParallelEngine {
-        ParallelEngine::with_threads_batch(plan, threads, 1)
-    }
-
-    /// [`ParallelEngine::with_threads`] with shared buffers sized for
-    /// batches of up to `width` right-hand sides (row-major blocks, see
-    /// the `exec` module docs for the layout).
-    pub fn with_threads_batch(plan: CompiledPlan, threads: usize, width: usize) -> ParallelEngine {
-        ParallelEngine::with_options(plan, PoolOptions { threads, width, ..PoolOptions::default() })
-    }
-
-    /// A telemetry-recording pool: workers time their compute / gather
-    /// / scatter work per owned rank and their barrier waits (recorded
-    /// under the first rank of each worker's range) into `sink`.
-    /// `threads = 0` selects the default sizing. Results are bitwise
-    /// identical to an uninstrumented pool.
-    pub fn with_telemetry(
-        plan: CompiledPlan,
-        threads: usize,
-        width: usize,
-        sink: Arc<TelemetrySink>,
-    ) -> ParallelEngine {
-        ParallelEngine::with_options(
-            plan,
-            PoolOptions { threads, width, sink: Some(sink), ..PoolOptions::default() },
-        )
-    }
-
-    /// The fully-general constructor: every knob (worker count,
-    /// batch capacity, compute schedule, core pinning, telemetry) in
-    /// one [`PoolOptions`]. All other constructors delegate here.
     pub fn with_options(plan: CompiledPlan, opts: PoolOptions) -> ParallelEngine {
         let threads = if opts.threads == 0 {
             let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -765,7 +723,7 @@ impl ParallelEngine {
     ///
     /// # Panics
     /// Panics if `r` exceeds the width the pool was built with
-    /// ([`ParallelEngine::new_batch`] / `with_threads_batch`), or if a
+    /// ([`PoolOptions::width`]), or if a
     /// worker thread panicked.
     pub fn execute_batch_iters(&mut self, x: &[f64], y: &mut [f64], r: usize, iters: usize) {
         let plan = &self.shared.plan;
@@ -773,7 +731,7 @@ impl ParallelEngine {
         assert!(r >= 1, "batch width must be at least 1");
         assert!(
             r <= self.shared.width,
-            "pool was built for batches of {} (got {r}); use new_batch/with_threads_batch",
+            "pool was built for batches of {} (got {r}); raise PoolOptions::width",
             self.shared.width
         );
         assert_eq!(x.len(), plan.ncols * r, "input length mismatch");
@@ -1118,6 +1076,12 @@ mod tests {
     use s2d_core::fig1::{fig1_matrix, fig1_partition};
     use s2d_spmv::SpmvPlan;
 
+    /// A pool with `threads` workers (0 = default sizing) and batch
+    /// capacity `width`.
+    fn pool(cp: CompiledPlan, threads: usize, width: usize) -> ParallelEngine {
+        ParallelEngine::with_options(cp, PoolOptions { threads, width, ..PoolOptions::default() })
+    }
+
     fn assert_close(a: &[f64], b: &[f64]) {
         assert_eq!(a.len(), b.len());
         for (idx, (u, v)) in a.iter().zip(b).enumerate() {
@@ -1136,7 +1100,7 @@ mod tests {
             SpmvPlan::mesh(&a, &p, 3, 1),
         ] {
             let want = plan.execute_mailbox(&x);
-            let mut engine = ParallelEngine::from_plan(&plan);
+            let mut engine = pool(CompiledPlan::compile(&plan), 0, 1);
             let mut y = vec![0.0; a.nrows()];
             engine.execute(&x, &mut y);
             assert_close(&y, &want);
@@ -1148,7 +1112,7 @@ mod tests {
         let a = fig1_matrix();
         let p = fig1_partition();
         let plan = SpmvPlan::single_phase(&a, &p);
-        let mut engine = ParallelEngine::from_plan(&plan);
+        let mut engine = pool(CompiledPlan::compile(&plan), 0, 1);
         let x: Vec<f64> = (0..a.ncols()).map(|j| 1.0 / (j + 1) as f64).collect();
         let mut first = vec![0.0; a.nrows()];
         engine.execute(&x, &mut first);
@@ -1168,7 +1132,7 @@ mod tests {
         let want = plan.execute_mailbox(&x);
         let cp = CompiledPlan::compile(&plan);
         for threads in 1..=4 {
-            let mut engine = ParallelEngine::with_threads(cp.clone(), threads);
+            let mut engine = pool(cp.clone(), threads, 1);
             let mut y = vec![0.0; a.nrows()];
             engine.execute(&x, &mut y);
             assert_close(&y, &want);
@@ -1183,7 +1147,7 @@ mod tests {
         let mut ws = cp.workspace();
         let mut want = vec![0.0; a.nrows()];
         cp.execute_iters(&mut ws, &x, &mut want, 4);
-        let mut engine = ParallelEngine::new(cp);
+        let mut engine = pool(cp, 0, 1);
         let mut y = vec![0.0; a.nrows()];
         engine.execute_iters(&x, &mut y, 4);
         assert_close(&y, &want);
@@ -1197,7 +1161,7 @@ mod tests {
             let cp = CompiledPlan::compile(&plan);
             for r in [2usize, 3, 8] {
                 let x = crate::exec::tests::batch_input(a.ncols(), r, 5);
-                let mut engine = ParallelEngine::with_threads_batch(cp.clone(), 3, r);
+                let mut engine = pool(cp.clone(), 3, r);
                 let mut y = vec![0.0; a.nrows() * r];
                 engine.execute_batch(&x, &mut y, r);
                 let mut ws = cp.workspace();
@@ -1224,7 +1188,7 @@ mod tests {
         let mut ws = cp.workspace_batch(r);
         let mut want = vec![0.0; a.nrows() * r];
         cp.execute_batch_iters(&mut ws, &x, &mut want, r, 3);
-        let mut engine = ParallelEngine::with_threads_batch(cp, 2, r);
+        let mut engine = pool(cp, 2, r);
         let mut y = vec![0.0; a.nrows() * r];
         engine.execute_batch_iters(&x, &mut y, r, 3);
         assert_eq!(y, want, "pool batch-iters must match the workspace executor bitwise");
@@ -1247,7 +1211,7 @@ mod tests {
         let p = SpmvPartition::rowwise(&a, parts.clone(), parts, 2);
         let plan = SpmvPlan::single_phase(&a, &p);
         let cp = CompiledPlan::compile(&plan);
-        let mut engine = ParallelEngine::with_threads_batch(cp, 2, 4);
+        let mut engine = pool(cp, 2, 4);
         let x4 = crate::exec::tests::batch_input(4, 4, 1);
         let mut y4 = vec![0.0; 16];
         engine.execute_batch(&x4, &mut y4, 4);
@@ -1266,10 +1230,10 @@ mod tests {
         let (a, plan) = crate::exec::tests::square_setup(24, 4);
         let x: Vec<f64> = (0..a.ncols()).map(|j| (j as f64).sin() * 2.0).collect();
         let mut want = vec![0.0; a.nrows()];
-        ParallelEngine::with_threads(CompiledPlan::compile(&plan), 3).execute(&x, &mut want);
+        pool(CompiledPlan::compile(&plan), 3, 1).execute(&x, &mut want);
         for format in KernelFormat::all() {
             let cp = CompiledPlan::compile_with(&plan, format);
-            let mut engine = ParallelEngine::with_threads(cp, 3);
+            let mut engine = pool(cp, 3, 1);
             assert_eq!(engine.kernel_format(), format);
             let mut y = vec![0.0; a.nrows()];
             engine.execute(&x, &mut y);
@@ -1338,7 +1302,7 @@ mod tests {
         let x: Vec<f64> = (0..a.ncols()).map(|j| 0.5 * j as f64 - 1.0).collect();
         let cp = CompiledPlan::compile(&plan);
         let mut want = vec![0.0; a.nrows()];
-        ParallelEngine::with_threads(cp.clone(), 2).execute(&x, &mut want);
+        pool(cp.clone(), 2, 1).execute(&x, &mut want);
         let mut pinned = ParallelEngine::with_options(
             cp,
             PoolOptions { threads: 2, pin: true, ..PoolOptions::default() },
@@ -1353,7 +1317,7 @@ mod tests {
     fn oversized_batch_is_rejected() {
         let a = fig1_matrix();
         let p = fig1_partition();
-        let mut engine = ParallelEngine::from_plan(&SpmvPlan::single_phase(&a, &p));
+        let mut engine = pool(CompiledPlan::compile(&SpmvPlan::single_phase(&a, &p)), 0, 1);
         let x = vec![0.0; a.ncols() * 2];
         let mut y = vec![0.0; a.nrows() * 2];
         engine.execute_batch(&x, &mut y, 2);
@@ -1363,7 +1327,7 @@ mod tests {
     fn drop_joins_workers_cleanly() {
         let a = fig1_matrix();
         let p = fig1_partition();
-        let engine = ParallelEngine::from_plan(&SpmvPlan::single_phase(&a, &p));
+        let engine = pool(CompiledPlan::compile(&SpmvPlan::single_phase(&a, &p)), 0, 1);
         assert!(engine.threads() >= 1);
         drop(engine); // must not hang
     }
@@ -1387,7 +1351,7 @@ mod tests {
             }
         }
         assert!(clobbered, "test needs a plan with at least two sends");
-        let _ = ParallelEngine::with_threads(cp, 2);
+        let _ = pool(cp, 2, 1);
     }
 
     #[test]
@@ -1405,7 +1369,7 @@ mod tests {
             })
             .expect("plan has a nonempty kernel");
         *slot = u32::MAX;
-        let _ = ParallelEngine::with_threads(cp, 1);
+        let _ = pool(cp, 1, 1);
     }
 
     #[test]
@@ -1427,7 +1391,7 @@ mod tests {
             })
             .expect("plan has a nonempty kernel");
         *kernel.row_ptr.last_mut().unwrap() = u32::MAX >> 8;
-        let mut engine = ParallelEngine::with_threads(cp, 2);
+        let mut engine = pool(cp, 2, 1);
         let x: Vec<f64> = (0..a.ncols()).map(|j| j as f64).collect();
         let mut y = vec![0.0; a.nrows()];
         let result =

@@ -4,13 +4,9 @@
 //! The `SpmvOperator` contract each backend must honor:
 //!
 //! 1. `apply` agrees with the reference CSR SpMV;
-//! 2. `apply_batch` column `q` equals `apply` on column `q` — bitwise
-//!    for deterministic backends, within floating-point tolerance for
-//!    backends whose accumulation order is run-dependent (the threaded
-//!    executor reports `deterministic() == false`);
-//! 3. repeated `apply` calls are stable (bitwise for deterministic
-//!    backends), i.e. an operator's internal state never leaks between
-//!    calls;
+//! 2. `apply_batch` column `q` equals `apply` on column `q`, bitwise;
+//! 3. repeated `apply` calls are bitwise stable, i.e. an operator's
+//!    internal state never leaks between calls;
 //! 4. shapes are reported correctly and batch width growth works.
 
 use std::sync::Arc;
@@ -93,16 +89,12 @@ fn check_operator(op: &mut (dyn SpmvOperator + Send), a: &Csr, label: &str) {
     op.apply(&x, &mut y);
     assert_close(&y, &reference, label);
 
-    // Property 3: repeated applications are stable — bitwise when the
-    // backend is deterministic (the output buffer is pre-poisoned to
-    // catch partial writes).
+    // Property 3: repeated applications are bitwise stable (the output
+    // buffer is pre-poisoned to catch partial writes).
+    assert!(op.deterministic(), "{label}: every backend is deterministic");
     let mut again = vec![f64::NAN; a.nrows()];
     op.apply(&x, &mut again);
-    if op.deterministic() {
-        assert_eq!(y, again, "{label}: repeated apply must be bitwise stable");
-    } else {
-        assert_close(&again, &y, label);
-    }
+    assert_eq!(y, again, "{label}: repeated apply must be bitwise stable");
 
     // Chained applications in one dispatch match manual chaining
     // (square matrices only — all conformance matrices are square).
@@ -115,11 +107,7 @@ fn check_operator(op: &mut (dyn SpmvOperator + Send), a: &Csr, label: &str) {
             op.apply(&manual, &mut step);
             std::mem::swap(&mut manual, &mut step);
         }
-        if op.deterministic() {
-            assert_eq!(chained, manual, "{label}: apply_batch_iters must match manual chaining");
-        } else {
-            assert_close(&chained, &manual, label);
-        }
+        assert_eq!(chained, manual, "{label}: apply_batch_iters must match manual chaining");
     }
 
     // Property 2: apply_batch column q equals apply on column q, at
@@ -133,11 +121,7 @@ fn check_operator(op: &mut (dyn SpmvOperator + Send), a: &Csr, label: &str) {
             let mut yq = vec![0.0; a.nrows()];
             op.apply(&xq, &mut yq);
             let got = column(&yb, a.nrows(), r, q);
-            if op.deterministic() {
-                assert_eq!(got, yq, "{label}: r={r} column {q} must match apply bitwise");
-            } else {
-                assert_close(&got, &yq, label);
-            }
+            assert_eq!(got, yq, "{label}: r={r} column {q} must match apply bitwise");
         }
     }
 }

@@ -1,17 +1,18 @@
 //! Differential harness: **every** execution backend, one plan,
-//! pairwise agreement.
+//! bitwise agreement with the mailbox oracle.
 //!
 //! One driver builds every [`Backend`] operator over the same plan
-//! (via `Backend::all()` — mailbox interpreter, threaded executor,
-//! compiled sequential workspace, compiled worker pool) and asserts
-//! that every pair agrees on `apply`, and that every backend's
-//! `apply_batch` columns agree with the mailbox oracle — property-
+//! (via `Backend::all()` — mailbox interpreter, compiled sequential
+//! workspace, compiled worker pool) and asserts that every backend's
+//! `apply` and every column of its `apply_batch` equal the mailbox
+//! oracle bitwise (inputs are finite) — property-
 //! tested over all four plan kinds, K ∈ {1, 2, 4, 7, 16} and batch
 //! widths r ∈ {1, 2, 3, 8} on R-MAT, power-law and FEM-stencil
 //! matrices, plus deterministic edge shapes (empty ranks, dense rows,
 //! n = 1). On top of the backend set, every non-default `KernelFormat`
-//! (SELL-C-σ, dense-split, auto) joins the pairwise matrix through the
-//! compiled paths, so a format bug diverges against every backend at
+//! (SELL-C-σ, dense-split, auto) joins the check through the compiled
+//! paths; bitwise equality with one oracle makes every pair of paths
+//! bitwise equal, so a format bug diverges against every backend at
 //! once.
 //!
 //! Any future execution path becomes a `Backend` variant and is
@@ -93,14 +94,15 @@ fn column(block: &[f64], n: usize, r: usize, q: usize) -> Vec<f64> {
     (0..n).map(|g| block[g * r + q]).collect()
 }
 
-fn close(a: &[f64], b: &[f64]) -> Option<usize> {
+/// First index where `a` and `b` differ in any bit.
+fn mismatch(a: &[f64], b: &[f64]) -> Option<usize> {
     debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).position(|(u, v)| (u - v).abs() > 1e-9 * v.abs().max(1.0))
+    a.iter().zip(b).position(|(u, v)| u.to_bits() != v.to_bits())
 }
 
-/// The harness: every backend on one plan, pairwise agreement on
-/// `apply`, per-column agreement of every backend's `apply_batch`
-/// against the mailbox oracle.
+/// The harness: every backend on one plan, bitwise agreement of every
+/// backend's `apply` and of every column of its `apply_batch` with the
+/// mailbox oracle.
 fn differential_check(
     plan: &SpmvPlan,
     kind: &str,
@@ -115,7 +117,7 @@ fn differential_check(
     // Kernel-format sweep: every non-default format on the sequential
     // compiled path (the format implementations), plus `auto` on the
     // pool (format × shared-buffer execution). The CSR defaults are
-    // already in `Backend::all()`, so every format ends up pairwise-
+    // already in `Backend::all()`, so every format ends up bitwise-
     // checked against every backend.
     for format in KernelFormat::all() {
         if format == KernelFormat::CsrSlice {
@@ -139,7 +141,8 @@ fn differential_check(
         ),
     ));
 
-    // Single-RHS apply on x: every pair of backends must agree.
+    // Single-RHS apply on x: every backend must equal the mailbox
+    // oracle (`ops[0]`) bit for bit.
     let singles: Vec<(String, Vec<f64>)> = ops
         .iter_mut()
         .map(|(label, op)| {
@@ -148,16 +151,13 @@ fn differential_check(
             (label.clone(), y)
         })
         .collect();
-    for i in 0..singles.len() {
-        for j in i + 1..singles.len() {
-            let (la, va) = &singles[i];
-            let (lb, vb) = &singles[j];
-            if let Some(at) = close(va, vb) {
-                return Err(TestCaseError::fail(format!(
-                    "{kind}: {la} vs {lb} disagree at y[{at}]: {} vs {}",
-                    va[at], vb[at]
-                )));
-            }
+    let (_, oracle) = &singles[0];
+    for (label, y) in &singles[1..] {
+        if let Some(at) = mismatch(y, oracle) {
+            return Err(TestCaseError::fail(format!(
+                "{kind}: {label} vs mailbox disagree at y[{at}]: {} vs {}",
+                y[at], oracle[at]
+            )));
         }
     }
 
@@ -178,7 +178,7 @@ fn differential_check(
             for q in 0..r {
                 let got = column(&y, plan.nrows, r, q);
                 let want = column(&oracle, plan.nrows, r, q);
-                if let Some(at) = close(&got, &want) {
+                if let Some(at) = mismatch(&got, &want) {
                     return Err(TestCaseError::fail(format!(
                         "{kind}: batch{r}-{label}/col{q} vs mailbox disagree at y[{at}]: {} vs {}",
                         got[at], want[at]

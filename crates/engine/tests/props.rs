@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use s2d_core::optimal::s2d_optimal;
 use s2d_core::partition::SpmvPartition;
-use s2d_engine::{CompiledPlan, ParallelEngine};
+use s2d_engine::{CompiledPlan, ParallelEngine, PoolOptions};
 use s2d_gen::powerlaw::power_law;
 use s2d_gen::rmat::{rmat, RmatConfig};
 use s2d_sparse::Csr;
@@ -111,7 +111,7 @@ proptest! {
             for (kind, plan) in plans_for(&a, k) {
                 let want = plan.execute_mailbox(&x);
                 let cp = CompiledPlan::compile(&plan);
-                let mut engine = ParallelEngine::with_threads(cp, threads);
+                let mut engine = ParallelEngine::with_options(cp, PoolOptions { threads, ..PoolOptions::default() });
                 let mut y = vec![0.0; a.nrows()];
                 engine.execute(&x, &mut y);
                 assert_close(&y, &want, kind)?;

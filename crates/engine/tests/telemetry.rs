@@ -1,8 +1,7 @@
 //! Telemetry acceptance: instrumentation must observe, never perturb.
 //!
 //! * telemetry-on results are **bitwise identical** to telemetry-off
-//!   for every deterministic backend (tolerance-checked for the
-//!   threaded executor, whose accumulation order is run-dependent);
+//!   for every backend;
 //! * on the compiled sequential path, per-phase time sums approximate
 //!   recorded wall time (phases partition the iteration loop);
 //! * recorded counters match the plan's static work profile and scale
@@ -35,16 +34,8 @@ fn input(n: usize, r: usize) -> Vec<f64> {
     (0..n * r).map(|i| ((i as u64).wrapping_mul(48271) % 101) as f64 / 13.0 - 3.5).collect()
 }
 
-fn assert_close(a: &[f64], b: &[f64], what: &str) {
-    assert_eq!(a.len(), b.len());
-    for (idx, (u, v)) in a.iter().zip(b).enumerate() {
-        assert!((u - v).abs() <= 1e-9 * v.abs().max(1.0), "{what}: y[{idx}]: {u} vs {v}");
-    }
-}
-
-/// Telemetry on vs off across every backend: identical results
-/// (bitwise when the backend is deterministic), for plain, batched and
-/// chained applications.
+/// Telemetry on vs off across every backend: bitwise identical results
+/// for plain, batched and chained applications.
 #[test]
 fn telemetry_is_bitwise_invisible() {
     let a = matrix();
@@ -60,33 +51,18 @@ fn telemetry_is_bitwise_invisible() {
         let (mut y0, mut y1) = (vec![0.0; n], vec![f64::NAN; n]);
         plain.apply(&x, &mut y0);
         obs.apply(&x, &mut y1);
-        if obs.deterministic() {
-            assert_eq!(y0, y1, "{label}: apply must be bitwise identical under telemetry");
-        } else {
-            assert_close(&y0, &y1, label);
-        }
+        assert_eq!(y0, y1, "{label}: apply must be bitwise identical under telemetry");
 
         let xb = input(n, 3);
         let (mut b0, mut b1) = (vec![0.0; n * 3], vec![f64::NAN; n * 3]);
         plain.apply_batch(&xb, &mut b0, 3);
         obs.apply_batch(&xb, &mut b1, 3);
-        if obs.deterministic() {
-            assert_eq!(b0, b1, "{label}: apply_batch must be bitwise identical under telemetry");
-        } else {
-            assert_close(&b0, &b1, label);
-        }
+        assert_eq!(b0, b1, "{label}: apply_batch must be bitwise identical under telemetry");
 
         let (mut c0, mut c1) = (vec![0.0; n * 2], vec![f64::NAN; n * 2]);
         plain.apply_batch_iters(&input(n, 2), &mut c0, 2, 5);
         obs.apply_batch_iters(&input(n, 2), &mut c1, 2, 5);
-        if obs.deterministic() {
-            assert_eq!(
-                c0, c1,
-                "{label}: apply_batch_iters must be bitwise identical under telemetry"
-            );
-        } else {
-            assert_close(&c0, &c1, label);
-        }
+        assert_eq!(c0, c1, "{label}: apply_batch_iters must be bitwise identical under telemetry");
 
         // Something was recorded: wall time and iteration counts moved.
         assert!(sink.wall_nanos() > 0, "{label}: no wall time recorded");

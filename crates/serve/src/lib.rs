@@ -23,9 +23,12 @@
 //!   running each request alone.
 //!
 //! For distributed execution the [`ShardedOperator`] runs sessions over
-//! `s2d-runtime` endpoints with a deterministic reduction order, so
-//! even chaos-injected delivery cannot change a result bit — the
-//! property the serve differential tests pin down.
+//! `s2d-runtime` endpoints on the cached compiled plan, through the
+//! same per-rank executor the distributed solvers use
+//! (`s2d_engine::run_rank`). Receives are matched in spec order, so
+//! even chaos-injected delivery cannot change a result bit, and sharded
+//! results equal an in-process `compiled-seq` session's bitwise — the
+//! properties the serve differential tests pin down.
 
 mod cache;
 mod server;

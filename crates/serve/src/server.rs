@@ -242,7 +242,7 @@ impl Server {
             b.prepare()
         });
         let operator: Box<dyn SpmvOperator + Send> = if self.config.sharded {
-            Box::new(ShardedOperator::with_chaos(Arc::clone(prep.plan()), self.config.chaos))
+            Box::new(ShardedOperator::with_chaos(prep.compiled().clone(), self.config.chaos))
         } else {
             Box::new(prep.session(backend, width))
         };

@@ -4,64 +4,100 @@
 //! so coalesced requests run through the same code path as single
 //! solves.
 //!
-//! The stock threaded executor accumulates partial sums in arrival
-//! order, so two runs of the same plan can differ in the last ulp —
-//! fine for validation against a tolerance, fatal for a serving layer
-//! that promises coalesced results identical to per-request ones. This
-//! executor closes the gap with two rules: every per-rank buffer is an
-//! ordered map (`BTreeMap`), and each communication phase first
-//! collects *all* expected messages, sorts them by sender, and only
-//! then folds them in. The floating-point reduction order is therefore
-//! a pure function of the plan, never of the scheduler — a chaotic run
-//! and a quiet run produce the same bits, and column `q` of a width-`r`
-//! batch produces the same bits as a width-1 run of that column.
+//! Each application spawns one rank per virtual processor and runs
+//! that rank's compiled program through the workspace's one
+//! distributed executor, [`s2d_engine::run_rank`] — the walk the
+//! solvers' `RankCtx` uses too. Receives are matched by `(peer, tag)`
+//! in the plan's spec order, never by arrival order, so the
+//! floating-point reduction order is a pure function of the plan: a
+//! chaotic run and a quiet run produce the same bits, and both equal
+//! the sequential compiled executor and the mailbox oracle. Because
+//! the operator runs the cached [`CompiledPlan`], sharded sessions get
+//! the tuned kernel format and ISA for free. This operator adds only
+//! seeding from the global `x` ([`RankProgram::x_seed`]) and emission
+//! into the global `y` ([`RankProgram::y_emit`]); rows no rank
+//! materializes come out as zero, so rectangular plans work too.
+//!
+//! [`RankProgram::x_seed`]: s2d_engine::RankProgram::x_seed
+//! [`RankProgram::y_emit`]: s2d_engine::RankProgram::y_emit
 
-use std::collections::BTreeMap;
+use s2d_engine::{run_rank, CompiledPlan, Payload, RankBuffers};
+use s2d_runtime::{spmd, ChaosConfig, Cluster};
+use s2d_spmv::SpmvOperator;
 
-use s2d_runtime::{spmd, ChaosConfig, Cluster, Endpoint, Envelope};
-use s2d_spmv::{MsgSpec, PlanPhase, SpmvOperator, SpmvPlan};
-use std::sync::Arc;
-
-/// Payload of one phase message: `x` columns and partial-`y` rows, each
-/// carrying `r` lanes (one per coalesced right-hand side).
-type Payload = (Vec<(u32, Vec<f64>)>, Vec<(u32, Vec<f64>)>);
-
-/// A batch-capable, chaos-proof distributed SpMV operator: `plan.k`
-/// ranks on OS threads exchanging plan messages through the runtime,
-/// with a deterministic reduction order (see the module docs).
+/// A batch-capable, chaos-proof distributed SpMV operator: `k` ranks on
+/// OS threads exchanging plan messages through the runtime, with a
+/// deterministic reduction order (see the module docs).
 pub struct ShardedOperator {
-    plan: Arc<SpmvPlan>,
+    compiled: CompiledPlan,
     chaos: ChaosConfig,
 }
 
 impl ShardedOperator {
-    /// A quiet sharded operator over `plan`.
-    pub fn new(plan: Arc<SpmvPlan>) -> ShardedOperator {
-        ShardedOperator::with_chaos(plan, ChaosConfig::off())
+    /// A quiet sharded operator over a compiled plan.
+    pub fn new(compiled: CompiledPlan) -> ShardedOperator {
+        ShardedOperator::with_chaos(compiled, ChaosConfig::off())
     }
 
     /// A sharded operator with delivery-delay injection — results are
     /// bitwise identical to the quiet operator's, only slower.
-    pub fn with_chaos(plan: Arc<SpmvPlan>, chaos: ChaosConfig) -> ShardedOperator {
-        ShardedOperator { plan, chaos }
+    pub fn with_chaos(compiled: CompiledPlan, chaos: ChaosConfig) -> ShardedOperator {
+        ShardedOperator { compiled, chaos }
     }
 }
 
 impl SpmvOperator for ShardedOperator {
     fn nrows(&self) -> usize {
-        self.plan.nrows
+        self.compiled.nrows
     }
 
     fn ncols(&self) -> usize {
-        self.plan.ncols
+        self.compiled.ncols
     }
 
     fn apply(&mut self, x: &[f64], y: &mut [f64]) {
-        execute_sharded(&self.plan, x, y, 1, self.chaos);
+        self.apply_batch(x, y, 1);
     }
 
+    /// Runs the row-major batch `x` (`x[j*r + q]` = column `q` of input
+    /// `j`), writing the row-major result into `y`.
     fn apply_batch(&mut self, x: &[f64], y: &mut [f64], r: usize) {
-        execute_sharded(&self.plan, x, y, r, self.chaos);
+        let cp = &self.compiled;
+        assert!(r >= 1, "batch width must be at least 1");
+        assert_eq!(x.len(), cp.ncols * r, "input length mismatch");
+        assert_eq!(y.len(), cp.nrows * r, "output length mismatch");
+        // Each rank returns its emitted rows' lanes in `y_emit` order.
+        let emitted = spmd(Cluster::<Payload>::with_chaos(cp.k, self.chaos), |ep| {
+            let prog = &cp.ranks[ep.rank() as usize];
+            let mut lanes = Vec::with_capacity(prog.y_emit.len() * r);
+            run_rank(
+                ep,
+                prog,
+                &mut RankBuffers::default(),
+                r,
+                0,
+                None,
+                |xloc| {
+                    for &(g, slot) in &prog.x_seed {
+                        let (src, dst) = (g as usize * r, slot as usize * r);
+                        xloc[dst..dst + r].copy_from_slice(&x[src..src + r]);
+                    }
+                },
+                |yloc| {
+                    for &(_, slot) in &prog.y_emit {
+                        lanes.extend_from_slice(&yloc[slot as usize * r..slot as usize * r + r]);
+                    }
+                },
+            );
+            debug_assert!(ep.drained(), "rank {} exits with unconsumed messages", ep.rank());
+            lanes
+        });
+        y.fill(0.0);
+        for (prog, lanes) in cp.ranks.iter().zip(&emitted) {
+            for (&(i, _), lane) in prog.y_emit.iter().zip(lanes.chunks_exact(r)) {
+                y[i as usize * r..(i as usize + 1) * r].copy_from_slice(lane);
+            }
+        }
     }
 
     fn deterministic(&self) -> bool {
@@ -69,179 +105,52 @@ impl SpmvOperator for ShardedOperator {
     }
 }
 
-/// Per-rank view of one phase (mirrors the plan's phase list).
-enum RankPhase<'a> {
-    Compute(&'a [s2d_spmv::MultTask]),
-    Comm { tag: u32, outgoing: Vec<&'a MsgSpec>, expected: usize },
-}
-
-fn rank_scripts(plan: &SpmvPlan) -> Vec<Vec<RankPhase<'_>>> {
-    let k = plan.k;
-    let mut scripts: Vec<Vec<RankPhase<'_>>> = (0..k).map(|_| Vec::new()).collect();
-    for (idx, phase) in plan.phases.iter().enumerate() {
-        match phase {
-            PlanPhase::Compute(tasks) => {
-                for (p, list) in tasks.iter().enumerate() {
-                    scripts[p].push(RankPhase::Compute(list));
-                }
-            }
-            PlanPhase::Comm(msgs) => {
-                let mut outgoing: Vec<Vec<&MsgSpec>> = vec![Vec::new(); k];
-                let mut expected = vec![0usize; k];
-                for m in msgs {
-                    outgoing[m.src as usize].push(m);
-                    expected[m.dst as usize] += 1;
-                }
-                for (p, out) in outgoing.into_iter().enumerate() {
-                    scripts[p].push(RankPhase::Comm {
-                        tag: idx as u32,
-                        outgoing: out,
-                        expected: expected[p],
-                    });
-                }
-            }
-        }
-    }
-    scripts
-}
-
-/// Executes `plan` on the row-major batch `x` (`x[j*r + q]` = column
-/// `q` of input `j`), writing the row-major result into `y`.
-fn execute_sharded(plan: &SpmvPlan, x: &[f64], y: &mut [f64], r: usize, chaos: ChaosConfig) {
-    assert!(r >= 1, "batch width must be at least 1");
-    assert_eq!(x.len(), plan.ncols * r, "input length mismatch");
-    assert_eq!(y.len(), plan.nrows * r, "output length mismatch");
-    let k = plan.k;
-    let scripts = rank_scripts(plan);
-
-    // Initial x placement: each rank's owned columns, all r lanes.
-    let mut init_x: Vec<Vec<(u32, Vec<f64>)>> = vec![Vec::new(); k];
-    for j in 0..plan.ncols {
-        init_x[plan.x_part[j] as usize].push((j as u32, x[j * r..(j + 1) * r].to_vec()));
-    }
-    let init_x = std::sync::Mutex::new(init_x);
-
-    let results = spmd(Cluster::<Payload>::with_chaos(k, chaos), |ep| {
-        let p = ep.rank() as usize;
-        let my_x = std::mem::take(&mut init_x.lock().expect("init lock")[p]);
-        let final_y = run_rank(ep, &scripts[p], my_x, r);
-        debug_assert!(ep.drained(), "rank {p} exits with unconsumed messages");
-        final_y
-    });
-
-    // Assemble y from each owner's final accumulators.
-    let mut owner_y: Vec<BTreeMap<u32, Vec<f64>>> =
-        results.into_iter().map(|pairs| pairs.into_iter().collect()).collect();
-    for i in 0..plan.nrows {
-        match owner_y[plan.y_part[i] as usize].remove(&(i as u32)) {
-            Some(lanes) => y[i * r..(i + 1) * r].copy_from_slice(&lanes),
-            None => y[i * r..(i + 1) * r].fill(0.0),
-        }
-    }
-}
-
-fn run_rank(
-    ep: &mut Endpoint<Payload>,
-    script: &[RankPhase<'_>],
-    my_x: Vec<(u32, Vec<f64>)>,
-    r: usize,
-) -> Vec<(u32, Vec<f64>)> {
-    let p = ep.rank();
-    let mut xbuf: BTreeMap<u32, Vec<f64>> = my_x.into_iter().collect();
-    let mut ybuf: BTreeMap<u32, Vec<f64>> = BTreeMap::new();
-    for phase in script {
-        match phase {
-            RankPhase::Compute(tasks) => {
-                for t in *tasks {
-                    let xv = xbuf
-                        .get(&t.col)
-                        .unwrap_or_else(|| panic!("rank {p} lacks x[{}]: plan bug", t.col));
-                    let acc = ybuf.entry(t.row).or_insert_with(|| vec![0.0; r]);
-                    for q in 0..r {
-                        acc[q] += t.val * xv[q];
-                    }
-                }
-            }
-            RankPhase::Comm { tag, outgoing, expected } => {
-                for m in outgoing {
-                    let xs: Vec<(u32, Vec<f64>)> = m
-                        .x_cols
-                        .iter()
-                        .map(|&j| {
-                            (
-                                j,
-                                xbuf.get(&j)
-                                    .unwrap_or_else(|| {
-                                        panic!("rank {p} lacks x[{j}] to send: plan bug")
-                                    })
-                                    .clone(),
-                            )
-                        })
-                        .collect();
-                    let ys: Vec<(u32, Vec<f64>)> = m
-                        .y_rows
-                        .iter()
-                        .map(|&i| {
-                            (
-                                i,
-                                ybuf.remove(&i).unwrap_or_else(|| {
-                                    panic!("rank {p} lacks partial y[{i}] to send: plan bug")
-                                }),
-                            )
-                        })
-                        .collect();
-                    ep.send(m.dst, *tag, (xs, ys));
-                }
-                // Collect ALL of this phase's messages first, then fold
-                // them in sender order: the reduction order becomes a
-                // pure function of the plan, so chaotic delivery cannot
-                // perturb the result bits.
-                let mut arrived: Vec<Envelope<Payload>> =
-                    (0..*expected).map(|_| ep.recv_tag(*tag)).collect();
-                arrived.sort_by_key(|env| env.src);
-                for env in arrived {
-                    let (xs, ys) = env.payload;
-                    for (j, v) in xs {
-                        xbuf.insert(j, v);
-                    }
-                    for (i, v) in ys {
-                        let acc = ybuf.entry(i).or_insert_with(|| vec![0.0; r]);
-                        for q in 0..r {
-                            acc[q] += v[q];
-                        }
-                    }
-                }
-            }
-        }
-    }
-    ybuf.into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use s2d_core::fig1::{fig1_matrix, fig1_partition};
-    use s2d_spmv::PlanKind;
+    use s2d_core::partition::SpmvPartition;
+    use s2d_sparse::{Coo, Csr};
+    use s2d_spmv::{PlanKind, SpmvPlan};
+
+    /// Row 0 (rank 0) receives three folded partial sums of order 1e16,
+    /// -1e16 and 1 from ranks 1, 2 and 3. Their sum depends on the order
+    /// of addition (at 1e16 the spacing of doubles is 2), so folding in
+    /// arrival order rather than spec order shows up as changed bits.
+    fn cancellation_instance() -> (Csr, SpmvPartition) {
+        let mut m = Coo::new(7, 7);
+        for (c, v) in [(1, 5e15), (2, 5e15), (3, -5e15), (4, -5e15), (5, 0.5), (6, 0.5)] {
+            m.push(0, c, v);
+        }
+        for i in 0..7 {
+            m.push(i, i, 1.0);
+        }
+        m.compress();
+        let a = m.to_csr();
+        let parts = vec![0, 1, 1, 2, 2, 3, 3];
+        let p = s2d_core::optimal::s2d_optimal(&a, &parts, &parts, 4);
+        (a, p)
+    }
 
     #[test]
     fn sharded_runs_are_bitwise_reproducible_under_chaos() {
-        let a = fig1_matrix();
-        let p = fig1_partition();
+        for (a, p) in [(fig1_matrix(), fig1_partition()), cancellation_instance()] {
+            chaos_case(&a, &p);
+        }
+    }
+
+    fn chaos_case(a: &Csr, p: &SpmvPartition) {
         let x: Vec<f64> = (0..a.ncols()).map(|j| (j as f64).sin() + 2.0).collect();
         for kind in PlanKind::all() {
-            let plan = Arc::new(kind.build(&a, &p));
-            let mut quiet = ShardedOperator::new(Arc::clone(&plan));
+            let plan = kind.build(a, p);
+            let cp = CompiledPlan::compile(&plan);
+            let mut quiet = ShardedOperator::new(cp.clone());
             let mut y_quiet = vec![0.0; a.nrows()];
             quiet.apply(&x, &mut y_quiet);
-            // Tolerance check against serial once; everything else is
-            // exact equality.
-            let want = a.spmv_alloc(&x);
-            for (g, w) in y_quiet.iter().zip(&want) {
-                assert!((g - w).abs() <= 1e-9 * w.abs().max(1.0), "{kind}: {g} vs {w}");
-            }
-            for seed in 0..4 {
+            assert_eq!(y_quiet, plan.execute_mailbox(&x), "{kind}: must equal the mailbox oracle");
+            for seed in 0..8 {
                 let chaos = ChaosConfig::with_delays(150, seed);
-                let mut noisy = ShardedOperator::with_chaos(Arc::clone(&plan), chaos);
+                let mut noisy = ShardedOperator::with_chaos(cp.clone(), chaos);
                 let mut y_noisy = vec![f64::NAN; a.nrows()];
                 noisy.apply(&x, &mut y_noisy);
                 assert_eq!(y_noisy, y_quiet, "{kind} seed {seed}: chaos must not change bits");
@@ -249,20 +158,82 @@ mod tests {
         }
     }
 
+    fn assert_close(a: &[f64], b: &[f64]) {
+        for (idx, (u, v)) in a.iter().zip(b).enumerate() {
+            assert!((u - v).abs() <= 1e-9 * v.abs().max(1.0), "y[{idx}]: {u} vs {v}");
+        }
+    }
+
+    /// Runs `plan` on a sharded operator with the given chaos and returns `y`.
+    fn sharded(plan: &SpmvPlan, x: &[f64], chaos: ChaosConfig) -> Vec<f64> {
+        let mut op = ShardedOperator::with_chaos(CompiledPlan::compile(plan), chaos);
+        let mut y = vec![f64::NAN; plan.nrows];
+        op.apply(x, &mut y);
+        y
+    }
+
+    #[test]
+    fn sharded_matches_mailbox_on_all_plan_kinds() {
+        let a = fig1_matrix();
+        let p = fig1_partition();
+        let x: Vec<f64> = (0..a.ncols()).map(|j| j as f64 - 6.0).collect();
+        let reference = a.spmv_alloc(&x);
+        for plan in [
+            SpmvPlan::single_phase(&a, &p),
+            SpmvPlan::two_phase(&a, &p),
+            SpmvPlan::mesh(&a, &p, 3, 1),
+        ] {
+            let y_mailbox = plan.execute_mailbox(&x);
+            assert_eq!(sharded(&plan, &x, ChaosConfig::off()), y_mailbox);
+            assert_close(&y_mailbox, &reference);
+        }
+    }
+
+    #[test]
+    fn mesh_plan_survives_chaotic_delivery() {
+        // A rank racing ahead into the second mesh hop must not take a
+        // slower peer's phase-1 contribution for its own: phase tags and
+        // spec-order matching make every interleaving — here aggressively
+        // randomized — deliver the mailbox oracle's exact bits.
+        let a = fig1_matrix();
+        let p = fig1_partition();
+        let x: Vec<f64> = (0..a.ncols()).map(|j| (j as f64).sin() + 2.0).collect();
+        let plan = SpmvPlan::mesh(&a, &p, 3, 1);
+        let y_mailbox = plan.execute_mailbox(&x);
+        assert_close(&y_mailbox, &a.spmv_alloc(&x));
+        for seed in 0..8 {
+            let y = sharded(&plan, &x, ChaosConfig::with_delays(200, seed));
+            assert_eq!(y, y_mailbox, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn two_phase_plan_survives_chaotic_delivery() {
+        let a = fig1_matrix();
+        let p = fig1_partition();
+        let x: Vec<f64> = (0..a.ncols()).map(|j| j as f64 * 0.25 - 1.0).collect();
+        let plan = SpmvPlan::two_phase(&a, &p);
+        let y_mailbox = plan.execute_mailbox(&x);
+        assert_close(&y_mailbox, &a.spmv_alloc(&x));
+        for seed in 0..4 {
+            let y = sharded(&plan, &x, ChaosConfig::with_delays(150, seed));
+            assert_eq!(y, y_mailbox, "seed {seed}");
+        }
+    }
+
     #[test]
     fn batch_columns_match_single_runs_bitwise() {
         let a = fig1_matrix();
         let p = fig1_partition();
-        let plan = Arc::new(PlanKind::SinglePhase.build(&a, &p));
+        let cp = CompiledPlan::compile(&PlanKind::SinglePhase.build(&a, &p));
         let r = 4;
         let x: Vec<f64> = (0..a.ncols() * r).map(|i| ((i * 7) % 19) as f64 - 9.0).collect();
-        let mut op =
-            ShardedOperator::with_chaos(Arc::clone(&plan), ChaosConfig::with_delays(100, 11));
+        let mut op = ShardedOperator::with_chaos(cp.clone(), ChaosConfig::with_delays(100, 11));
         let mut y = vec![0.0; a.nrows() * r];
         op.apply_batch(&x, &mut y, r);
+        let mut quiet = ShardedOperator::new(cp);
         for q in 0..r {
             let xq: Vec<f64> = (0..a.ncols()).map(|g| x[g * r + q]).collect();
-            let mut quiet = ShardedOperator::new(Arc::clone(&plan));
             let mut yq = vec![0.0; a.nrows()];
             quiet.apply(&xq, &mut yq);
             let got: Vec<f64> = (0..a.nrows()).map(|g| y[g * r + q]).collect();

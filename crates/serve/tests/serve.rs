@@ -123,16 +123,22 @@ fn chaotic_sharded_serving_is_bitwise_identical_to_quiet_solves() {
     const PER_CLIENT: usize = 4;
     let inputs: Vec<Vec<f64>> = (0..CLIENTS * PER_CLIENT).map(|i| rhs(a.ncols(), i)).collect();
 
-    // Quiet per-request reference through the same sharded executor.
+    // Quiet per-request reference through the same sharded executor,
+    // which must also equal an in-process compiled-seq session stamped
+    // from the same preparation bit for bit.
     let quiet = {
         use s2d::SpmvOperator;
         let prep = Session::builder(&a).partitioner(strategy, k).prepare();
-        let mut op = s2d_serve::ShardedOperator::new(Arc::clone(prep.plan()));
+        let mut op = s2d_serve::ShardedOperator::new(prep.compiled().clone());
+        let mut seq = prep.session(s2d::Backend::CompiledSeq, 1);
         inputs
             .iter()
             .map(|x| {
                 let mut y = vec![0.0; a.nrows()];
                 op.apply(x, &mut y);
+                let mut y_seq = vec![f64::NAN; a.nrows()];
+                seq.apply(x, &mut y_seq);
+                assert_eq!(y, y_seq, "sharded must match compiled-seq bitwise");
                 y
             })
             .collect::<Vec<_>>()

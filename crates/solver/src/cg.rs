@@ -13,9 +13,7 @@ use s2d_obs::TelemetrySink;
 use s2d_sparse::Csr;
 use s2d_spmv::{SpmvOperator, SpmvPlan};
 
-use crate::engine::{
-    gather_global, scatter, spmd_compute_obs, spmd_compute_on, EnginePath, RankCtx,
-};
+use crate::engine::{gather_global, scatter, spmd_compute, spmd_compute_obs, RankCtx};
 use crate::operator::{axpy, dot, dot_self, Reduce, Solo};
 
 /// Options for [`cg_solve`].
@@ -62,24 +60,11 @@ pub fn cg_solve(
     b: &[f64],
     opts: &CgOptions,
 ) -> CgResult {
-    cg_solve_on(EnginePath::Compiled, a, p, plan, b, opts)
-}
-
-/// [`cg_solve`] on an explicit [`EnginePath`] — the interpreted path is
-/// the cross-check oracle for the compiled engine.
-pub fn cg_solve_on(
-    path: EnginePath,
-    a: &Csr,
-    p: &SpmvPartition,
-    plan: &SpmvPlan,
-    b: &[f64],
-    opts: &CgOptions,
-) -> CgResult {
     assert_eq!(b.len(), a.nrows(), "right-hand side length mismatch");
     let b_parts = parking_lot::Mutex::new(scatter(b, p));
     let opts = *opts;
 
-    let rank_out = spmd_compute_on(path, a, p, plan, |ctx: &mut RankCtx| {
+    let rank_out = spmd_compute(a, p, plan, |ctx: &mut RankCtx| {
         let b_local = std::mem::take(&mut b_parts.lock()[ctx.rank() as usize]);
         let core = cg_core(ctx, &b_local, &opts, None);
         (ctx.owned.clone(), core)
@@ -347,21 +332,30 @@ mod tests {
 
     #[test]
     fn compiled_engine_matches_interpreted_cross_check() {
-        // The acceptance gate for the compiled engine: CG end-to-end on
-        // the compiled path converges to the same residual (and the
-        // same iterate, bitwise — identical accumulation order) as the
-        // interpreted runtime-based path.
+        // The acceptance gate for the distributed engine: the same CG
+        // core on the mailbox interpreter. On one rank the reductions
+        // coincide too, so the solves agree bitwise; on four ranks the
+        // allreduce tree reassociates the dot products, so the iterates
+        // agree to rounding.
         let a = laplacian2d(8);
-        let p = block_rowwise(&a, 4);
-        let plan = SpmvPlan::single_phase(&a, &p);
         let b: Vec<f64> = (0..a.nrows()).map(|i| ((i % 7) as f64) - 3.0).collect();
-        let compiled = cg_solve_on(EnginePath::Compiled, &a, &p, &plan, &b, &CgOptions::default());
-        let interpreted =
-            cg_solve_on(EnginePath::Interpreted, &a, &p, &plan, &b, &CgOptions::default());
-        assert!(compiled.converged && interpreted.converged);
-        assert_eq!(compiled.iterations, interpreted.iterations);
-        assert_eq!(compiled.relative_residual, interpreted.relative_residual);
-        assert_eq!(compiled.x, interpreted.x);
+        for k in [1, 4] {
+            let p = block_rowwise(&a, k);
+            let plan = SpmvPlan::single_phase(&a, &p);
+            let compiled = cg_solve(&a, &p, &plan, &b, &CgOptions::default());
+            let oracle = s2d_spmv::MailboxOperator::new(Arc::new(plan));
+            let interpreted = cg_solve_with(oracle, &b, &CgOptions::default());
+            assert!(compiled.converged && interpreted.converged);
+            assert_eq!(compiled.iterations, interpreted.iterations, "k={k}");
+            if k == 1 {
+                assert_eq!(compiled.relative_residual, interpreted.relative_residual);
+                assert_eq!(compiled.x, interpreted.x);
+            } else {
+                for (u, v) in compiled.x.iter().zip(&interpreted.x) {
+                    assert!((u - v).abs() <= 1e-9 * v.abs().max(1.0), "k={k}: {u} vs {v}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -50,10 +50,8 @@ pub mod power;
 pub use block_power::{
     block_power_iteration, block_power_iteration_with, BlockPowerOptions, BlockPowerResult,
 };
-pub use cg::{
-    cg_solve, cg_solve_obs, cg_solve_on, cg_solve_with, cg_solve_with_obs, CgOptions, CgResult,
-};
-pub use engine::{spmd_compute, spmd_compute_obs, spmd_compute_on, EnginePath, RankCtx};
+pub use cg::{cg_solve, cg_solve_obs, cg_solve_with, cg_solve_with_obs, CgOptions, CgResult};
+pub use engine::{spmd_compute, spmd_compute_obs, RankCtx};
 pub use jacobi::{
     diagonal_of, jacobi_solve, jacobi_solve_with, jacobi_solve_with_obs, JacobiOptions,
     JacobiResult,

@@ -85,6 +85,10 @@ impl<O: SpmvOperator> SpmvOperator for Solo<O> {
     fn deterministic(&self) -> bool {
         self.0.deterministic()
     }
+
+    fn worker_loads(&self) -> Option<Vec<u64>> {
+        self.0.worker_loads()
+    }
 }
 
 impl<O> Reduce for Solo<O> {
@@ -113,5 +117,36 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
 pub fn scale(alpha: f64, v: &mut [f64]) {
     for vi in v.iter_mut() {
         *vi *= alpha;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// An operator with a fixed worker schedule.
+    struct Pooled;
+
+    impl SpmvOperator for Pooled {
+        fn nrows(&self) -> usize {
+            1
+        }
+
+        fn ncols(&self) -> usize {
+            1
+        }
+
+        fn apply(&mut self, x: &[f64], y: &mut [f64]) {
+            y.copy_from_slice(x);
+        }
+
+        fn worker_loads(&self) -> Option<Vec<u64>> {
+            Some(vec![3, 4])
+        }
+    }
+
+    #[test]
+    fn solo_forwards_worker_loads() {
+        assert_eq!(Solo(Pooled).worker_loads(), Some(vec![3, 4]));
     }
 }

@@ -12,24 +12,24 @@
 //! * **mesh-routed s2D-b** — precompute, two mesh hops with partial-sum
 //!   aggregation at intermediates, compute (Section VI-B).
 //!
-//! Executors: [`exec::execute_mailbox_into`] (deterministic, sequential
-//! interpretation — works for any `K`) and
-//! [`threaded::execute_threaded_into`] (one OS thread per virtual
-//! processor, crossbeam channels — the concurrent validation path).
+//! Executor: [`exec::execute_mailbox_into`], a deterministic sequential
+//! interpretation that works for any `K`. It is the workspace's single
+//! reference oracle; every fast path (`s2d-engine`'s compiled
+//! sequential and pool executors, and its distributed per-rank
+//! executor over `s2d-runtime` endpoints) is held to it bitwise.
 //!
-//! The [`operator::SpmvOperator`] trait unifies these interpreting
-//! executors with the compiled backends in `s2d-engine` behind one
-//! stateful `apply`/`apply_batch` interface writing into caller-owned
-//! buffers; `s2d_engine::Backend` selects among all of them, and the
-//! `s2d` facade crate's `Session` builder wires matrix + partition +
-//! plan kind + backend together fluently.
+//! The [`operator::SpmvOperator`] trait unifies the mailbox oracle
+//! with the compiled backends in `s2d-engine` behind one stateful
+//! `apply`/`apply_batch` interface writing into caller-owned buffers;
+//! `s2d_engine::Backend` selects among all of them, and the `s2d`
+//! facade crate's `Session` builder wires matrix + partition + plan
+//! kind + backend together fluently.
 
 pub mod bridge;
 pub mod exec;
 pub mod operator;
 pub mod plan;
-pub mod threaded;
 
 pub use bridge::{simulate_plan, to_phase_specs};
-pub use operator::{apply_batch_columnwise, MailboxOperator, SpmvOperator, ThreadedOperator};
+pub use operator::{apply_batch_columnwise, MailboxOperator, SpmvOperator};
 pub use plan::{MsgSpec, MultTask, PlanKind, PlanPhase, RowProfile, SpmvPlan};

@@ -21,9 +21,9 @@
 //!   behind one [`Strategy`] enum, quality reports, cost-model-driven
 //!   [`Strategy::Auto`].
 //! * [`sim`] — α–β–γ distributed machine model and metrics.
-//! * [`spmv`] — the SpMV plan language and interpreting executors.
+//! * [`spmv`] — the SpMV plan language and the mailbox oracle executor.
 //! * [`engine`] — the compiled execution engine (flat-buffer plan
-//!   compiler + persistent worker pool).
+//!   compiler, persistent worker pool, distributed per-rank executor).
 //! * [`runtime`] — the MPI-like message-passing substrate.
 //! * [`solver`] — distributed CG, Jacobi, power iteration, PageRank.
 //! * [`gen`] — synthetic matrix generators and the paper's two test suites.

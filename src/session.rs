@@ -103,7 +103,7 @@ impl<'a> SessionBuilder<'a> {
     /// [`KernelFormat::CsrSlice`]; [`KernelFormat::Auto`] picks per
     /// rank × phase from compile-time row statistics — see the
     /// `s2d_engine::formats` docs for selection guidance). The
-    /// interpreting backends have no kernels and ignore it.
+    /// mailbox backend has no kernels and ignores it.
     pub fn kernel_format(mut self, format: KernelFormat) -> Self {
         self.kernel_format = format;
         self
@@ -536,6 +536,10 @@ impl SpmvOperator for Session {
     fn deterministic(&self) -> bool {
         self.operator.deterministic()
     }
+
+    fn worker_loads(&self) -> Option<Vec<u64>> {
+        self.operator.worker_loads()
+    }
 }
 
 #[cfg(test)]
@@ -630,6 +634,21 @@ mod tests {
     }
 
     #[test]
+    fn pool_sessions_report_worker_loads() {
+        // The session forwards its operator's planned per-worker loads;
+        // together they cover every multiply-add of the plan.
+        let a = fig1_matrix();
+        let p = fig1_partition();
+        let pool = Backend::CompiledPool { threads: 2, pin: false };
+        let s = Session::builder(&a).partition(&p).backend(pool).build();
+        let loads = s.worker_loads().expect("a pool-backed session reports worker loads");
+        assert_eq!(loads.len(), 2);
+        assert_eq!(loads.iter().sum::<u64>(), s.plan().total_ops());
+        let seq = Session::builder(&a).partition(&p).backend(Backend::CompiledSeq).build();
+        assert_eq!(seq.worker_loads(), None);
+    }
+
+    #[test]
     fn telemetry_sessions_report_and_stay_bitwise_identical() {
         let a = fig1_matrix();
         let p = fig1_partition();
@@ -643,9 +662,7 @@ mod tests {
             let mut y = vec![f64::NAN; a.nrows()];
             s.apply(&x, &mut y);
             s.apply(&x, &mut y);
-            if s.deterministic() {
-                assert_eq!(y, want, "{backend}: telemetry must not perturb results");
-            }
+            assert_eq!(y, want, "{backend}: telemetry must not perturb results");
             let report = s.report().expect("telemetry session must report");
             assert_eq!(report.backend, backend.label());
             assert_eq!(report.k, p.k);

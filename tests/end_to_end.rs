@@ -8,9 +8,11 @@ use s2d::baselines::{
 };
 use s2d::core::heuristic::{s2d_from_vector_partition, HeuristicConfig};
 use s2d::core::optimal::s2d_optimal;
+use s2d::engine::CompiledPlan;
 use s2d::gen::{suite_a, suite_b, Scale};
 use s2d::sparse::Csr;
-use s2d::spmv::SpmvPlan;
+use s2d::spmv::{SpmvOperator, SpmvPlan};
+use s2d_serve::ShardedOperator;
 
 fn input_vector(n: usize) -> Vec<f64> {
     // Deterministic, irregular, sign-mixed values so cancellation bugs and
@@ -26,8 +28,17 @@ fn assert_close(got: &[f64], want: &[f64], ctx: &str) {
     }
 }
 
+/// One application of `plan` on the distributed executor (one rank per
+/// processor over the message-passing runtime).
+fn execute_sharded(plan: &SpmvPlan, x: &[f64]) -> Vec<f64> {
+    let mut y = vec![0.0; plan.nrows];
+    ShardedOperator::new(CompiledPlan::compile(plan)).apply(x, &mut y);
+    y
+}
+
 /// Runs every SpMV algorithm legal for the partition and compares against
-/// the serial reference.
+/// the serial reference; the distributed executor must equal the mailbox
+/// oracle bitwise.
 fn check_all_executors(a: &Csr, p: &s2d::core::SpmvPartition, ctx: &str) {
     let x = input_vector(a.ncols());
     let want = a.spmv_alloc(&x);
@@ -37,12 +48,14 @@ fn check_all_executors(a: &Csr, p: &s2d::core::SpmvPartition, ctx: &str) {
 
     if p.is_s2d(a) {
         let single = SpmvPlan::single_phase(a, p);
-        assert_close(&single.execute_mailbox(&x), &want, &format!("{ctx}/single/mailbox"));
-        assert_close(&single.execute_threaded(&x), &want, &format!("{ctx}/single/threaded"));
+        let y_single = single.execute_mailbox(&x);
+        assert_close(&y_single, &want, &format!("{ctx}/single/mailbox"));
+        assert_eq!(execute_sharded(&single, &x), y_single, "{ctx}/single/sharded");
 
         let mesh = SpmvPlan::mesh_default(a, p);
-        assert_close(&mesh.execute_mailbox(&x), &want, &format!("{ctx}/mesh/mailbox"));
-        assert_close(&mesh.execute_threaded(&x), &want, &format!("{ctx}/mesh/threaded"));
+        let y_mesh = mesh.execute_mailbox(&x);
+        assert_close(&y_mesh, &want, &format!("{ctx}/mesh/mailbox"));
+        assert_eq!(execute_sharded(&mesh, &x), y_mesh, "{ctx}/mesh/sharded");
     }
 }
 
@@ -136,7 +149,7 @@ fn batched_pipeline_matches_r_independent_serial_spmvs() {
     // pipeline: Y = A·X for an r-column X must equal r independent
     // serial SpMVs, on both the sequential workspace executor and the
     // worker pool, for specialized (2, 8) and generic (3) widths.
-    use s2d::engine::{CompiledPlan, ParallelEngine};
+    use s2d::engine::{CompiledPlan, ParallelEngine, PoolOptions};
     let k = 8;
     for spec in suite_a().into_iter().take(2) {
         let a = spec.generate(Scale::Tiny, 19);
@@ -161,7 +174,10 @@ fn batched_pipeline_matches_r_independent_serial_spmvs() {
             let mut ws = cp.workspace_batch(r);
             let mut y_seq = vec![0.0; a.nrows() * r];
             cp.execute_batch(&mut ws, &x, &mut y_seq, r);
-            let mut pool = ParallelEngine::new_batch(cp.clone(), r);
+            let mut pool = ParallelEngine::with_options(
+                cp.clone(),
+                PoolOptions { width: r, ..PoolOptions::default() },
+            );
             let mut y_pool = vec![0.0; a.nrows() * r];
             pool.execute_batch(&x, &mut y_pool, r);
             for q in 0..r {
@@ -191,8 +207,8 @@ fn repeated_spmv_is_stateless() {
     let y1 = plan.execute_mailbox(&x);
     let y2 = plan.execute_mailbox(&x);
     assert_eq!(y1, y2);
-    let y3 = plan.execute_threaded(&x);
-    assert_close(&y3, &y1, "threaded repeat");
+    let y3 = execute_sharded(&plan, &x);
+    assert_eq!(y3, y1, "sharded repeat");
 }
 
 #[test]
