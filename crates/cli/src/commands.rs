@@ -688,6 +688,7 @@ fn cmd_spmv(args: &Args) {
         let model = ModelRef {
             comm_words: q.volume,
             alpha_beta_secs: q.alpha_beta_time,
+            alpha_beta_word_secs: q.alpha_beta_word_time,
             loggp_secs: q.loggp_time,
         };
         let mut report = ExecutionReport::collect(sink, engine, Some(model));

@@ -27,7 +27,9 @@
 //!   right baseline for kernel work.
 //! * [`Backend::CompiledPool`] — the same compiled plan on the
 //!   persistent worker pool. Wins above that crossover; `threads = 0`
-//!   sizes the pool to `min(K, available CPUs)`.
+//!   sizes the pool to `min(K, available CPUs)` workers, the calling
+//!   thread included (it runs worker 0's share), and idle helpers
+//!   sleep between applies.
 //!
 //! Undecided? [`Backend::auto`] applies the crossover rule to a
 //! compiled plan (`--engine auto` on the CLI). Kernel format: the
@@ -67,10 +69,13 @@ pub enum Backend {
     /// one worker per rank, capped at the available CPUs), running the
     /// NNZ-chunked compute schedule.
     CompiledPool {
-        /// Worker count; 0 selects the default sizing.
+        /// Worker count `N`, counting the calling thread, which runs
+        /// worker 0's share: the pool spawns `N − 1` helper threads.
+        /// 0 selects the default sizing.
         threads: usize,
-        /// Pin worker `w` to CPU `w` (CLI spelling `pool:N@pin`);
-        /// Linux-only performance hint, a no-op elsewhere.
+        /// Pin helper `w` to CPU `w`, for `w` in `1..N` (CLI spelling
+        /// `pool:N@pin`); the calling thread's affinity is never
+        /// changed. Linux-only performance hint, a no-op elsewhere.
         pin: bool,
     },
 }
@@ -484,13 +489,13 @@ impl<O: SpmvOperator> ObservedOperator<O> {
         &self.inner
     }
 
-    fn observe(&mut self, iters: u64, body: impl FnOnce(&mut O)) {
+    fn observe(&mut self, iters: u64, width: usize, body: impl FnOnce(&mut O)) {
         let t = Instant::now();
         body(&mut self.inner);
         let ns = t.elapsed().as_nanos() as u64;
         self.sink.rank(0).record(Phase::Compute, ns);
         self.sink.add_wall(ns);
-        self.sink.add_iterations(iters);
+        self.sink.add_iterations(iters, width);
     }
 }
 
@@ -504,15 +509,15 @@ impl<O: SpmvOperator> SpmvOperator for ObservedOperator<O> {
     }
 
     fn apply(&mut self, x: &[f64], y: &mut [f64]) {
-        self.observe(1, |op| op.apply(x, y));
+        self.observe(1, 1, |op| op.apply(x, y));
     }
 
     fn apply_batch(&mut self, x: &[f64], y: &mut [f64], r: usize) {
-        self.observe(1, |op| op.apply_batch(x, y, r));
+        self.observe(1, r, |op| op.apply_batch(x, y, r));
     }
 
     fn apply_batch_iters(&mut self, x: &[f64], y: &mut [f64], r: usize, iters: usize) {
-        self.observe(iters as u64, |op| op.apply_batch_iters(x, y, r, iters));
+        self.observe(iters as u64, r, |op| op.apply_batch_iters(x, y, r, iters));
     }
 
     fn deterministic(&self) -> bool {

@@ -268,7 +268,7 @@ impl CompiledPlan {
                     _ => self.pass_obs(ws, x, y, r, iters, obs),
                 }
                 obs.sink().add_wall(t.elapsed().as_nanos() as u64);
-                obs.sink().add_iterations(iters as u64);
+                obs.sink().add_iterations(iters as u64, r);
             }
         }
     }

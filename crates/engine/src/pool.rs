@@ -1,13 +1,16 @@
 //! The persistent worker-pool runtime for [`CompiledPlan`]s.
 //!
-//! A [`ParallelEngine`] owns long-lived OS threads (spawned once,
-//! parked on a spin barrier between jobs) and the shared flat buffers a
-//! compiled plan executes over. Running an iteration involves **no
-//! channels, no hashing and no allocation**: the control thread
-//! publishes a job descriptor, releases the workers through an atomic
-//! gate, and the workers walk the phase list with sense-reversing
+//! A [`ParallelEngine`] of `N` workers owns `N − 1` long-lived helper
+//! threads (spawned once) and the shared flat buffers a compiled plan
+//! executes over. The calling thread is worker 0: it publishes a job
+//! descriptor, releases the helpers through the job gate, runs its own
+//! share of the job and then waits at the gate for the helpers to
+//! finish, so a pool never has more runnable threads than workers.
+//! Running an iteration involves **no channels, no hashing and no
+//! allocation**; the workers walk the phase list with sense-reversing
 //! barriers separating the stage and apply halves of every
-//! communication phase.
+//! communication phase. Between jobs the helpers spin briefly at the
+//! gate and then sleep, so an idle pool costs no CPU.
 //!
 //! # Sharing discipline (why the `unsafe` here is sound)
 //!
@@ -37,10 +40,14 @@
 //!    schedule — the seed→compute and compute→drain transitions of
 //!    every rank's buffers) crosses a barrier with release/acquire
 //!    ordering, so there is no unsynchronized cross-thread access to
-//!    the same element. If a worker panics, the barriers are
-//!    *poisoned*: every waiter bails out immediately, no further
-//!    shared-buffer access happens, and the control thread re-raises
-//!    the failure instead of deadlocking.
+//!    the same element. If a worker panics — a helper or the caller's
+//!    own share — the phase barrier is *poisoned*: every waiter bails
+//!    out of the job at once and no further shared-buffer access
+//!    happens. The job gate is not poisoned: every worker still
+//!    reaches the completion gate, so a poisoned job returns only
+//!    after every helper has left the job (a helper may be reading the
+//!    caller's input until then), and the caller re-raises the
+//!    failure instead of deadlocking.
 //!
 //! # NNZ-chunked scheduling
 //!
@@ -61,15 +68,17 @@
 //!
 //! Buffers are allocated zeroed (untouched pages) and each worker
 //! **first-touches** the `x`/`y` buffers of the ranks it owns before
-//! its first job, so on a first-touch NUMA system the pages land on
-//! the node of the worker that seeds, stages and emits them. Optional
-//! core pinning (`PoolOptions::pin`, CLI `pool:N@pin`) binds worker
-//! `w` to CPU `w` via `sched_setaffinity` on Linux (a no-op
-//! elsewhere), keeping those pages node-local for the pool's lifetime.
+//! its first job (the constructing thread touches worker 0's), so on a
+//! first-touch NUMA system the pages land on the node of the worker
+//! that seeds, stages and emits them. Optional core pinning
+//! (`PoolOptions::pin`, CLI `pool:N@pin`) binds helper `w` to CPU `w`
+//! (`w` in `1..N`) via `sched_setaffinity` on Linux (a no-op
+//! elsewhere), keeping those pages node-local for the pool's lifetime;
+//! the caller's affinity is never changed.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -150,20 +159,48 @@ impl ShBuf {
     }
 }
 
-/// Sense-reversing spin barrier (falls back to `yield_now` so it stays
-/// live when workers outnumber cores). `wait` takes the engine's poison
-/// flag: once poisoned, every wait returns `true` immediately and the
-/// barrier's counts stop meaning anything — the engine is dead and only
-/// shuts down from there.
+/// Spin iterations a barrier waiter polls before it sleeps: long
+/// enough to catch a peer finishing the same phase without a syscall,
+/// short enough that an idle pool stops burning its cores at once.
+const SPIN_LIMIT: u32 = 1 << 14;
+
+/// Sense-reversing barrier that spins for [`SPIN_LIMIT`] polls and
+/// then sleeps on a `Mutex`/`Condvar`.
+///
+/// No wake-up is lost: a waiter about to sleep takes the lock, bumps
+/// the SeqCst `sleepers` count and only then re-checks the generation,
+/// while the last arriver bumps the generation (SeqCst) before it reads
+/// `sleepers`. Either the releaser sees the sleeper and notifies under
+/// the lock, or the sleeper sees the new generation and never sleeps.
+/// The releaser touches the lock only when someone sleeps, so a
+/// barrier whose peers arrive within the spin window costs no syscall.
+///
+/// `wait` takes an optional poison flag: once raised, such a wait
+/// returns `true` immediately and the barrier's counts stop meaning
+/// anything. Whoever raises the flag must call
+/// [`wake_all`](SpinBarrier::wake_all) so sleepers see it.
+///
+/// The mutex guards no data (it only orders the sleep check against
+/// the notify), so a guard is recovered from a poisoned lock as is.
 struct SpinBarrier {
     arrived: AtomicUsize,
     generation: AtomicUsize,
     total: usize,
+    sleepers: AtomicUsize,
+    lock: Mutex<()>,
+    wake: Condvar,
 }
 
 impl SpinBarrier {
     fn new(total: usize) -> SpinBarrier {
-        SpinBarrier { arrived: AtomicUsize::new(0), generation: AtomicUsize::new(0), total }
+        SpinBarrier {
+            arrived: AtomicUsize::new(0),
+            generation: AtomicUsize::new(0),
+            total,
+            sleepers: AtomicUsize::new(0),
+            lock: Mutex::new(()),
+            wake: Condvar::new(),
+        }
     }
 
     /// Blocks until all `total` participants arrive, or until `poison`
@@ -171,30 +208,48 @@ impl SpinBarrier {
     /// generation counter orders all pre-barrier writes before all
     /// post-barrier reads.
     #[must_use]
-    fn wait(&self, poison: &AtomicBool) -> bool {
-        if poison.load(Ordering::Acquire) {
+    fn wait(&self, poison: Option<&AtomicBool>) -> bool {
+        let poisoned = || poison.is_some_and(|p| p.load(Ordering::Acquire));
+        if poisoned() {
             return true;
         }
         let gen = self.generation.load(Ordering::Acquire);
         if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.total {
             self.arrived.store(0, Ordering::Relaxed);
-            self.generation.fetch_add(1, Ordering::Release);
-            false
-        } else {
-            let mut spins = 0u32;
-            while self.generation.load(Ordering::Acquire) == gen {
-                if poison.load(Ordering::Acquire) {
-                    return true;
-                }
-                spins += 1;
-                if spins < 1 << 14 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
+            self.generation.fetch_add(1, Ordering::SeqCst);
+            if self.sleepers.load(Ordering::SeqCst) > 0 {
+                self.wake_all();
             }
-            false
+            return false;
         }
+        for _ in 0..SPIN_LIMIT {
+            if self.generation.load(Ordering::Acquire) != gen {
+                return false;
+            }
+            if poisoned() {
+                return true;
+            }
+            std::hint::spin_loop();
+        }
+        let mut guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        let released = loop {
+            if self.generation.load(Ordering::SeqCst) != gen {
+                break false;
+            }
+            if poisoned() {
+                break true;
+            }
+            guard = self.wake.wait(guard).unwrap_or_else(PoisonError::into_inner);
+        };
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+        released
+    }
+
+    /// Wakes every sleeping waiter so it re-checks its exit condition.
+    fn wake_all(&self) {
+        let _guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        self.wake.notify_all();
     }
 }
 
@@ -238,7 +293,9 @@ impl PoolSchedule {
 /// schedule, no pinning and no telemetry.
 #[derive(Clone, Default)]
 pub struct PoolOptions {
-    /// Worker count; `0` selects the default sizing
+    /// Worker count `N`, counting the calling thread: the pool spawns
+    /// `N − 1` helper threads and the thread that calls `execute*`
+    /// runs worker 0's share. `0` selects the default sizing
     /// (`min(plan.k, available CPUs)`).
     pub threads: usize,
     /// Batch capacity the shared buffers are sized for (`0` is treated
@@ -246,9 +303,11 @@ pub struct PoolOptions {
     pub width: usize,
     /// Compute-phase work distribution.
     pub schedule: PoolSchedule,
-    /// Pin worker `w` to CPU `w` at startup (Linux `sched_setaffinity`;
-    /// a silent no-op elsewhere or on failure — affinity is a
-    /// performance hint, never a correctness requirement).
+    /// Pin helper `w` to CPU `w` at startup, for `w` in `1..N`
+    /// (Linux `sched_setaffinity`; a silent no-op elsewhere or on
+    /// failure — affinity is a performance hint, never a correctness
+    /// requirement). The calling thread, worker 0, is never pinned:
+    /// its affinity belongs to the application.
     pub pin: bool,
     /// Optional telemetry sink (see [`ParallelEngine::with_options`]).
     pub sink: Option<Arc<TelemetrySink>>,
@@ -380,7 +439,7 @@ fn pin_to_core(core: usize) {
 #[cfg(not(target_os = "linux"))]
 fn pin_to_core(_core: usize) {}
 
-/// State shared between the control thread and the workers.
+/// State shared between the calling thread (worker 0) and the helpers.
 struct Shared {
     plan: CompiledPlan,
     /// Batch capacity the shared buffers were sized for.
@@ -407,20 +466,21 @@ struct Shared {
     /// Planned compute multiply-adds per worker per iteration (the
     /// fixed map makes planned == achieved).
     loads: Vec<u64>,
-    /// Pin worker `w` to CPU `w` at startup.
+    /// Pin helper `w` to CPU `w` at startup.
     pin: bool,
     /// Job descriptor: input pointer + chained iteration count + batch
-    /// width. Written by the control thread before the gate, read by
-    /// workers after it.
+    /// width. Written by the caller before the gate, read by the
+    /// helpers after it.
     job_x: AtomicPtr<f64>,
     job_iters: AtomicUsize,
     job_width: AtomicUsize,
     shutdown: AtomicBool,
-    /// Raised when a worker panics; poisons both barriers.
+    /// Raised when a worker panics (see [`Shared::poison`]).
     poisoned: AtomicBool,
-    /// Control + workers: job start and job completion.
+    /// Job start and job completion, all `N` workers. Never poisoned:
+    /// every worker reaches both gates once per job, panic or not.
     gate: SpinBarrier,
-    /// Workers only: phase-internal synchronization.
+    /// Phase-internal synchronization, all `N` workers; poisonable.
     sync: SpinBarrier,
     /// Optional telemetry (fixed at construction — `Shared` is
     /// immutable once workers spawn). `None` keeps the job loop free
@@ -428,10 +488,45 @@ struct Shared {
     obs: Option<ExecTelemetry>,
 }
 
-/// A persistent pool of worker threads executing one compiled plan.
+impl Shared {
+    /// Marks the engine dead after a worker panic and wakes everything
+    /// sleeping on the phase barrier, so every worker leaves the job.
+    /// The gate needs no wake: it ignores the flag, and every worker
+    /// still arrives at it.
+    fn poison(&self) {
+        self.poisoned.store(true, Ordering::Release);
+        self.sync.wake_all();
+    }
+
+    /// Phase barrier wait; `true` means the job is poisoned and the
+    /// worker must return without touching the shared buffers again.
+    #[inline]
+    fn sync_wait(&self) -> bool {
+        self.sync.wait(Some(&self.poisoned))
+    }
+
+    /// First-touches the `x`/`y` buffers of the ranks worker `w` owns:
+    /// allocation left the pages untouched (alloc_zeroed), so writing
+    /// them from the owning thread — strictly before the first job
+    /// gate, hence with no concurrent accessor — places them on that
+    /// thread's NUMA node under a first-touch policy.
+    fn first_touch(&self, w: usize) {
+        for rk in self.assign[w].clone() {
+            for i in 0..self.x[rk].len() {
+                self.x[rk].set(i, 0.0);
+            }
+            for i in 0..self.y[rk].len() {
+                self.y[rk].set(i, 0.0);
+            }
+        }
+    }
+}
+
+/// A persistent pool of workers executing one compiled plan: the
+/// calling thread plus `N − 1` helper threads.
 ///
 /// Construction validates the plan's sharing invariants, spawns the
-/// threads and allocates every buffer;
+/// helpers and allocates every buffer;
 /// [`ParallelEngine::execute`] and [`execute_iters`](ParallelEngine::execute_iters)
 /// then run with zero heap allocation.
 pub struct ParallelEngine {
@@ -631,12 +726,13 @@ impl ParallelEngine {
             job_width: AtomicUsize::new(1),
             shutdown: AtomicBool::new(false),
             poisoned: AtomicBool::new(false),
-            gate: SpinBarrier::new(threads + 1),
+            gate: SpinBarrier::new(threads),
             sync: SpinBarrier::new(threads),
             obs,
             plan,
         });
-        let workers = (0..threads)
+        shared.first_touch(0);
+        let workers = (1..threads)
             .map(|w| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -648,9 +744,10 @@ impl ParallelEngine {
         ParallelEngine { shared, workers }
     }
 
-    /// Number of worker threads.
+    /// Number of workers `N`, counting the calling thread (the pool
+    /// runs `N − 1` helper threads).
     pub fn threads(&self) -> usize {
-        self.workers.len()
+        self.shared.assign.len()
     }
 
     /// Batch capacity this pool's buffers were sized for.
@@ -706,8 +803,8 @@ impl ParallelEngine {
     /// allocates, and only the final assembled vector is copied out.
     ///
     /// # Panics
-    /// Panics if a worker thread panicked (the engine is then poisoned
-    /// and every later call fails fast).
+    /// Panics if a worker panicked (the engine is then poisoned and
+    /// every later call fails fast).
     pub fn execute_iters(&mut self, x: &[f64], y: &mut [f64], iters: usize) {
         self.execute_batch_iters(x, y, 1, iters);
     }
@@ -723,8 +820,10 @@ impl ParallelEngine {
     ///
     /// # Panics
     /// Panics if `r` exceeds the width the pool was built with
-    /// ([`PoolOptions::width`]), or if a
-    /// worker thread panicked.
+    /// ([`PoolOptions::width`]), or if a worker panicked: a helper's
+    /// panic surfaces as an "engine poisoned" panic, a panic in the
+    /// caller's own share is re-raised as is. Either way the call
+    /// returns only after every helper has left the job.
     pub fn execute_batch_iters(&mut self, x: &[f64], y: &mut [f64], r: usize, iters: usize) {
         let plan = &self.shared.plan;
         assert!(iters >= 1, "at least one iteration");
@@ -739,34 +838,48 @@ impl ParallelEngine {
         if iters > 1 {
             assert_eq!(plan.nrows, plan.ncols, "chained SpMV needs a square plan");
         }
+        let shared = &*self.shared;
         assert!(
-            !self.shared.poisoned.load(Ordering::Acquire),
-            "engine poisoned: a worker thread panicked in an earlier call"
+            !shared.poisoned.load(Ordering::Acquire),
+            "engine poisoned: a worker panicked in an earlier call"
         );
-        self.shared.job_x.store(x.as_ptr() as *mut f64, Ordering::Relaxed);
-        self.shared.job_iters.store(iters, Ordering::Relaxed);
-        self.shared.job_width.store(r, Ordering::Relaxed);
-        let t = self.shared.obs.as_ref().map(|_| Instant::now());
-        let _ = self.shared.gate.wait(&self.shared.poisoned); // release the workers
-        let _ = self.shared.gate.wait(&self.shared.poisoned); // wait for completion
+        shared.job_x.store(x.as_ptr() as *mut f64, Ordering::Relaxed);
+        shared.job_iters.store(iters, Ordering::Relaxed);
+        shared.job_width.store(r, Ordering::Relaxed);
+        let t = shared.obs.as_ref().map(|_| Instant::now());
+        let _ = shared.gate.wait(None); // release the helpers
+        let own = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_job(shared, 0, iters, x.as_ptr(), r)
+        }));
+        if own.is_err() {
+            shared.poison();
+        }
+        // Completion: past this gate no helper reads `x` any more, so
+        // even a poisoned job may hand the input back to the caller.
+        let _ = shared.gate.wait(None);
+        if let Err(panic) = own {
+            std::panic::resume_unwind(panic);
+        }
         assert!(
-            !self.shared.poisoned.load(Ordering::Acquire),
-            "engine poisoned: a worker thread panicked (see stderr for its message)"
+            !shared.poisoned.load(Ordering::Acquire),
+            "engine poisoned: a worker panicked (see stderr for its message)"
         );
         for (i, yi) in y.iter_mut().enumerate() {
-            *yi = self.shared.global.get(i);
+            *yi = shared.global.get(i);
         }
-        if let (Some(obs), Some(t)) = (&self.shared.obs, t) {
+        if let (Some(obs), Some(t)) = (&shared.obs, t) {
             obs.sink().add_wall(t.elapsed().as_nanos() as u64);
-            obs.sink().add_iterations(iters as u64);
+            obs.sink().add_iterations(iters as u64, r);
         }
     }
 }
 
 impl Drop for ParallelEngine {
     fn drop(&mut self) {
+        // Every helper is parked at the job gate (a poisoned pool's
+        // too): release them into the shutdown check.
         self.shared.shutdown.store(true, Ordering::Release);
-        let _ = self.shared.gate.wait(&self.shared.poisoned);
+        let _ = self.shared.gate.wait(None);
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
@@ -852,8 +965,8 @@ fn run_job(shared: &Shared, w: usize, iters: usize, xp: *const f64, r: usize) {
             for &(g, slot) in &rp.x_seed {
                 for q in 0..r {
                     let v = if it == 0 {
-                        // SAFETY: the control thread keeps the input
-                        // slice alive until the completion gate;
+                        // SAFETY: the caller keeps the input slice
+                        // alive until the completion gate;
                         // g*r + q < ncols*r == x.len() by the execute
                         // asserts.
                         unsafe { *xp.add(g as usize * r + q) }
@@ -872,7 +985,7 @@ fn run_job(shared: &Shared, w: usize, iters: usize, xp: *const f64, r: usize) {
             // Chunked compute reads x and writes y that *other* workers
             // seeded — no chunk may start before every seed landed.
             let t = obs_start(obs);
-            let poisoned = shared.sync.wait(&shared.poisoned);
+            let poisoned = shared.sync_wait();
             obs_record(obs, my.start, Phase::BarrierWait, t);
             if poisoned {
                 return;
@@ -908,7 +1021,7 @@ fn run_job(shared: &Shared, w: usize, iters: usize, xp: *const f64, r: usize) {
                     // reader (staging, a following phase, the emit)
                     // touches the y buffers.
                     let t = obs_start(obs);
-                    let poisoned = shared.sync.wait(&shared.poisoned);
+                    let poisoned = shared.sync_wait();
                     obs_record(obs, my.start, Phase::BarrierWait, t);
                     if poisoned {
                         return;
@@ -948,7 +1061,7 @@ fn run_job(shared: &Shared, w: usize, iters: usize, xp: *const f64, r: usize) {
             {
                 // Everyone staged (and drained) before anyone applies.
                 let t = obs_start(obs);
-                let poisoned = shared.sync.wait(&shared.poisoned);
+                let poisoned = shared.sync_wait();
                 obs_record(obs, my.start, Phase::BarrierWait, t);
                 if poisoned {
                     return;
@@ -966,7 +1079,7 @@ fn run_job(shared: &Shared, w: usize, iters: usize, xp: *const f64, r: usize) {
                 // Applies finish before the next writer reuses the
                 // staging buffer (next iteration, same phase).
                 let t = obs_start(obs);
-                let poisoned = shared.sync.wait(&shared.poisoned);
+                let poisoned = shared.sync_wait();
                 obs_record(obs, my.start, Phase::BarrierWait, t);
                 if poisoned {
                     return;
@@ -983,7 +1096,7 @@ fn run_job(shared: &Shared, w: usize, iters: usize, xp: *const f64, r: usize) {
         if iters > 1
             && plan.staging_words.is_empty()
             && shared.chunks.is_none()
-            && shared.sync.wait(&shared.poisoned)
+            && shared.sync_wait()
         {
             return;
         }
@@ -1015,7 +1128,7 @@ fn run_job(shared: &Shared, w: usize, iters: usize, xp: *const f64, r: usize) {
         if it + 1 < iters {
             // Reseeding reads the global block other workers wrote.
             let t = obs_start(obs);
-            let poisoned = shared.sync.wait(&shared.poisoned);
+            let poisoned = shared.sync_wait();
             obs_record(obs, my.start, Phase::BarrierWait, t);
             if poisoned {
                 return;
@@ -1024,36 +1137,18 @@ fn run_job(shared: &Shared, w: usize, iters: usize, xp: *const f64, r: usize) {
     }
 }
 
-/// The worker main loop: park at the gate, run the published job, park
-/// again. Lives until the engine drops. A panic in the job body poisons
-/// the engine instead of deadlocking it.
+/// A helper's main loop: wait at the gate (spinning, then asleep), run
+/// the published job, report completion at the gate, repeat. Lives
+/// until the engine drops. A panic in the job body poisons the engine
+/// instead of deadlocking it; the helper still reports completion, then
+/// sleeps at the gate until `Drop` releases it.
 fn worker_loop(shared: &Shared, w: usize) {
     if shared.pin {
         pin_to_core(w);
     }
-    // First-touch the buffers this worker owns: allocation left the
-    // pages untouched (alloc_zeroed), so writing them here — strictly
-    // before the first job gate, hence with no concurrent accessor —
-    // places them on this worker's NUMA node under a first-touch
-    // policy.
-    let my = shared.assign[w].clone();
-    for rk in my.clone() {
-        for i in 0..shared.x[rk].len() {
-            shared.x[rk].set(i, 0.0);
-        }
-        for i in 0..shared.y[rk].len() {
-            shared.y[rk].set(i, 0.0);
-        }
-    }
+    shared.first_touch(w);
     loop {
-        if shared.gate.wait(&shared.poisoned) {
-            // Poisoned: the gate no longer synchronizes anything. Idle
-            // until the engine shuts down.
-            while !shared.shutdown.load(Ordering::Acquire) {
-                std::thread::yield_now();
-            }
-            return;
-        }
+        let _ = shared.gate.wait(None);
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
@@ -1064,9 +1159,9 @@ fn worker_loop(shared: &Shared, w: usize) {
             run_job(shared, w, iters, xp, r)
         }));
         if outcome.is_err() {
-            shared.poisoned.store(true, Ordering::Release);
+            shared.poison();
         }
-        let _ = shared.gate.wait(&shared.poisoned); // completion
+        let _ = shared.gate.wait(None); // completion
     }
 }
 
@@ -1372,34 +1467,106 @@ mod tests {
         let _ = pool(cp, 1, 1);
     }
 
+    /// The worker that runs the last unit of `rank`'s compute kernel at
+    /// step `phase`.
+    fn owner_of_last_unit(engine: &ParallelEngine, rank: usize, phase: usize) -> usize {
+        let shared = &engine.shared;
+        match &shared.chunks {
+            None => shared.assign.iter().position(|rg| rg.contains(&rank)).expect("rank owned"),
+            Some(cs) => {
+                let RankStep::Compute(kernel) = &shared.plan.ranks[rank].steps[phase] else {
+                    unreachable!("asked for a compute step")
+                };
+                cs.phases[phase]
+                    .iter()
+                    .position(|runs| {
+                        runs.iter()
+                            .any(|c| c.rank as usize == rank && c.hi as usize == kernel.units())
+                    })
+                    .expect("every unit is scheduled")
+            }
+        }
+    }
+
+    fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
+
     #[test]
     fn worker_panic_poisons_instead_of_hanging() {
-        // Force a genuine panic inside a worker thread: `row_ptr`
+        // Force a genuine panic inside one worker's share: `row_ptr`
         // segment bounds are not pre-validated (indexing `vals` is
-        // bounds-checked at run time), so an oversized end pointer
-        // panics mid-job. The engine must surface the failure on the
-        // control thread and Drop must still join — not deadlock.
+        // bounds-checked at run time), so an end pointer one past
+        // `vals` panics on the kernel's last unit. Kernels are
+        // corrupted one at a time under both schedules until the
+        // panic has hit the caller's own share (worker 0) and a
+        // helper's share, each after the helpers fell asleep at the
+        // gate. Every time `execute` must panic — re-raising the
+        // caller's own panic, reporting a helper's as poison — reuse
+        // must fail fast, and Drop must join instead of deadlocking.
         let (a, plan) = crate::exec::tests::square_setup(12, 3);
-        let mut cp = CompiledPlan::compile(&plan);
-        let kernel = cp
-            .ranks
-            .iter_mut()
-            .flat_map(|rp| &mut rp.steps)
-            .find_map(|s| match s {
-                RankStep::Compute(crate::formats::Kernel::Csr(k)) if !k.rows.is_empty() => Some(k),
-                _ => None,
-            })
-            .expect("plan has a nonempty kernel");
-        *kernel.row_ptr.last_mut().unwrap() = u32::MAX >> 8;
-        let mut engine = pool(cp, 2, 1);
+        let cp = CompiledPlan::compile(&plan);
         let x: Vec<f64> = (0..a.ncols()).map(|j| j as f64).collect();
-        let mut y = vec![0.0; a.nrows()];
-        let result =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.execute(&x, &mut y)));
-        assert!(result.is_err(), "worker panic must reach the control thread");
-        let again =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.execute(&x, &mut y)));
-        assert!(again.is_err(), "poisoned engine must fail fast on reuse");
-        drop(engine); // and Drop must not hang
+        let steps: Vec<(usize, usize)> = cp
+            .ranks
+            .iter()
+            .enumerate()
+            .flat_map(|(rk, rp)| {
+                rp.steps.iter().enumerate().filter_map(move |(p, s)| match s {
+                    RankStep::Compute(crate::formats::Kernel::Csr(k)) if !k.rows.is_empty() => {
+                        Some((rk, p))
+                    }
+                    _ => None,
+                })
+            })
+            .collect();
+        for schedule in [PoolSchedule::RankSplit, PoolSchedule::NnzChunked { chunk_ops: 1 }] {
+            let mut covered = [false; 2]; // [caller's share, a helper's share]
+            for &(rk, p) in &steps {
+                let mut bad = cp.clone();
+                let RankStep::Compute(crate::formats::Kernel::Csr(k)) = &mut bad.ranks[rk].steps[p]
+                else {
+                    unreachable!()
+                };
+                *k.row_ptr.last_mut().unwrap() = k.vals.len() as u32 + 1;
+                let mut engine = ParallelEngine::with_options(
+                    bad,
+                    PoolOptions { threads: 3, schedule, ..PoolOptions::default() },
+                );
+                let helper = owner_of_last_unit(&engine, rk, p) != 0;
+                if std::mem::replace(&mut covered[usize::from(helper)], true) {
+                    continue;
+                }
+                // Wait until both helpers ran out their spin and sleep
+                // at the gate.
+                while engine.shared.gate.sleepers.load(Ordering::SeqCst) < 2 {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+                let mut y = vec![0.0; a.nrows()];
+                let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    engine.execute(&x, &mut y)
+                }))
+                .expect_err("a worker panic must reach the caller");
+                let msg = panic_message(&*first);
+                assert_eq!(
+                    msg.contains("engine poisoned"),
+                    helper,
+                    "{} rank {rk}: a helper's panic reports poison, the caller's own re-raises \
+                     as is (got {msg:?})",
+                    schedule.label()
+                );
+                let again = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    engine.execute(&x, &mut y)
+                }))
+                .expect_err("a poisoned engine must fail fast on reuse");
+                assert!(panic_message(&*again).contains("earlier call"));
+                drop(engine); // and Drop must not hang
+            }
+            assert_eq!(covered, [true, true], "{}: both shares panicked", schedule.label());
+        }
     }
 }

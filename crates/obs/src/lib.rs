@@ -217,6 +217,7 @@ impl PhaseRecorder {
 pub struct TelemetrySink {
     ranks: Vec<PhaseRecorder>,
     iterations: AtomicU64,
+    columns: AtomicU64,
     wall_nanos: AtomicU64,
     solver_iters: AtomicU64,
     solver_nanos: AtomicU64,
@@ -229,6 +230,7 @@ impl TelemetrySink {
         TelemetrySink {
             ranks: (0..k).map(|_| PhaseRecorder::default()).collect(),
             iterations: AtomicU64::new(0),
+            columns: AtomicU64::new(0),
             wall_nanos: AtomicU64::new(0),
             solver_iters: AtomicU64::new(0),
             solver_nanos: AtomicU64::new(0),
@@ -246,10 +248,12 @@ impl TelemetrySink {
         &self.ranks[r]
     }
 
-    /// Accounts `n` engine iterations (one per pass over the phases).
+    /// Accounts `n` engine iterations (one per pass over the phases)
+    /// at batch width `width`, i.e. `n × width` column-iterations.
     #[inline]
-    pub fn add_iterations(&self, n: u64) {
+    pub fn add_iterations(&self, n: u64, width: usize) {
         self.iterations.fetch_add(n, Ordering::Relaxed);
+        self.columns.fetch_add(n * width as u64, Ordering::Relaxed);
     }
 
     /// Accounts wall time spent inside instrumented executions.
@@ -268,6 +272,13 @@ impl TelemetrySink {
     /// Engine iterations accounted so far.
     pub fn iterations(&self) -> u64 {
         self.iterations.load(Ordering::Relaxed)
+    }
+
+    /// Column-iterations accounted so far: the sum of iterations ×
+    /// batch width (equals [`iterations`](TelemetrySink::iterations)
+    /// when every run was single-vector).
+    pub fn columns(&self) -> u64 {
+        self.columns.load(Ordering::Relaxed)
     }
 
     /// Wall nanoseconds inside instrumented executions.
@@ -292,6 +303,7 @@ impl TelemetrySink {
             r.clear();
         }
         self.iterations.store(0, Ordering::Relaxed);
+        self.columns.store(0, Ordering::Relaxed);
         self.wall_nanos.store(0, Ordering::Relaxed);
         self.solver_iters.store(0, Ordering::Relaxed);
         self.solver_nanos.store(0, Ordering::Relaxed);
@@ -373,16 +385,18 @@ mod tests {
     fn sink_reset_clears_everything() {
         let sink = TelemetrySink::new(2);
         sink.rank(1).record(Phase::Gather, 42);
-        sink.add_iterations(5);
+        sink.add_iterations(5, 3);
         sink.add_wall(1000);
         sink.record_solver_iter(300);
         assert_eq!(sink.k(), 2);
         assert_eq!(sink.iterations(), 5);
+        assert_eq!(sink.columns(), 15);
         assert_eq!(sink.solver_iters(), 1);
         sink.reset();
         assert_eq!(sink.rank(1).nanos(Phase::Gather), 0);
         assert_eq!(sink.rank(1).spans(Phase::Gather), 0);
         assert_eq!(sink.iterations(), 0);
+        assert_eq!(sink.columns(), 0);
         assert_eq!(sink.wall_nanos(), 0);
         assert_eq!(sink.solver_iters(), 0);
         assert_eq!(sink.solver_nanos(), 0);

@@ -35,28 +35,38 @@ pub struct RankReport {
 }
 
 /// The model-side prediction an [`ExecutionReport`] is scored against
-/// (typically lifted from `PartitionQuality`).
+/// (typically lifted from `PartitionQuality`). It prices one
+/// single-vector iteration; [`ExecutionReport::collect`] scales it to
+/// the run's batch width.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ModelRef {
     /// Predicted communication volume per iteration, in words.
     pub comm_words: u64,
     /// Predicted per-iteration time under the α–β model, seconds.
     pub alpha_beta_secs: f64,
+    /// The β (per-word) term of `alpha_beta_secs`: the part that grows
+    /// with the batch width, since every staged word carries `r`
+    /// values.
+    pub alpha_beta_word_secs: f64,
     /// Predicted per-iteration time under the LogGP model, seconds.
     pub loggp_secs: f64,
 }
 
-/// Observed-vs-modeled scoring, the report's headline columns.
+/// Observed-vs-modeled scoring, the report's headline columns. The
+/// word count and the α–β time are modeled at the run's batch width
+/// ([`ExecutionReport::width`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ModelComparison {
-    /// Modeled communication words per iteration.
+    /// Modeled communication words per iteration: the width-1 volume
+    /// × the batch width.
     pub modeled_comm_words: u64,
-    /// Observed / modeled comm words (≈ batch width when the staged
-    /// exchange moves exactly the modeled volume per column).
+    /// Observed / modeled comm words (1.0 when the staged exchange
+    /// moves exactly the modeled volume per column).
     pub words_ratio: f64,
-    /// Modeled α–β per-iteration seconds.
+    /// Modeled α–β per-iteration seconds, the β-term scaled by the
+    /// batch width.
     pub alpha_beta_secs: f64,
-    /// Modeled LogGP per-iteration seconds.
+    /// Modeled LogGP per-iteration seconds (width-1 model).
     pub loggp_secs: f64,
     /// Observed per-iteration seconds / α–β prediction.
     pub alpha_beta_ratio: f64,
@@ -71,6 +81,10 @@ pub struct ExecutionReport {
     pub backend: String,
     /// Number of ranks.
     pub k: usize,
+    /// Batch width of the run: column-iterations per engine iteration
+    /// (the mean when applies of several widths were recorded; 1.0
+    /// when none ran).
+    pub width: f64,
     /// Engine iterations accounted.
     pub iterations: u64,
     /// Wall nanoseconds inside instrumented executions.
@@ -200,12 +214,14 @@ impl ExecutionReport {
             1.0
         };
         let iterations = sink.iterations();
+        let width = if iterations > 0 { sink.columns() as f64 / iterations as f64 } else { 1.0 };
         let total_words: u64 = ranks.iter().map(|r| r.comm_words).sum();
         let comm_words_per_iter =
             if iterations > 0 { total_words as f64 / iterations as f64 } else { 0.0 };
         let report = ExecutionReport {
             backend: backend.to_string(),
             k: sink.k(),
+            width,
             iterations,
             wall_nanos: sink.wall_nanos(),
             solver_iters: sink.solver_iters(),
@@ -217,13 +233,19 @@ impl ExecutionReport {
             serve: None,
             workers: None,
         };
-        let model = model.map(|m| ModelComparison {
-            modeled_comm_words: m.comm_words,
-            words_ratio: ratio(comm_words_per_iter, m.comm_words as f64),
-            alpha_beta_secs: m.alpha_beta_secs,
-            loggp_secs: m.loggp_secs,
-            alpha_beta_ratio: ratio(report.iter_secs(), m.alpha_beta_secs),
-            loggp_ratio: ratio(report.iter_secs(), m.loggp_secs),
+        let model = model.map(|m| {
+            // Observed words are staged per column, so the width-1
+            // model is scaled to the run's width before comparing.
+            let words = m.comm_words as f64 * width;
+            let alpha_beta_secs = m.alpha_beta_secs + (width - 1.0) * m.alpha_beta_word_secs;
+            ModelComparison {
+                modeled_comm_words: words.round() as u64,
+                words_ratio: ratio(comm_words_per_iter, words),
+                alpha_beta_secs,
+                loggp_secs: m.loggp_secs,
+                alpha_beta_ratio: ratio(report.iter_secs(), alpha_beta_secs),
+                loggp_ratio: ratio(report.iter_secs(), m.loggp_secs),
+            }
         });
         ExecutionReport { model, ..report }
     }
@@ -315,12 +337,13 @@ impl ExecutionReport {
         };
         format!(
             concat!(
-                "{{\"backend\":\"{}\",\"k\":{},\"iterations\":{},\"wall_ns\":{},",
+                "{{\"backend\":\"{}\",\"k\":{},\"width\":{},\"iterations\":{},\"wall_ns\":{},",
                 "\"solver_iters\":{},\"solver_ns\":{},\"load_imbalance\":{:.4},",
                 "\"comm_words_per_iter\":{:.2},\"model\":{}{}{},\"ranks\":[{}]}}"
             ),
             self.backend,
             self.k,
+            self.width,
             self.iterations,
             self.wall_nanos,
             self.solver_iters,
@@ -338,9 +361,10 @@ impl ExecutionReport {
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "execution report — backend {}, k = {}, {} iterations, {} wall ({} /iter)\n",
+            "execution report — backend {}, k = {}, r = {}, {} iterations, {} wall ({} /iter)\n",
             self.backend,
             self.k,
+            self.width,
             self.iterations,
             fmt_ns(self.wall_nanos as f64),
             fmt_ns(self.iter_secs() * 1e9),
@@ -471,7 +495,7 @@ mod tests {
             sink.rank(rk).add_counts(4, 100, 8);
         }
         sink.rank(0).record(Phase::BarrierWait, 500);
-        sink.add_iterations(2);
+        sink.add_iterations(2, 1);
         sink.add_wall(10_000);
         sink
     }
@@ -491,22 +515,67 @@ mod tests {
 
     #[test]
     fn model_scoring_produces_ratios() {
-        let model = ModelRef { comm_words: 24, alpha_beta_secs: 1e-6, loggp_secs: 2e-6 };
+        let model = ModelRef {
+            comm_words: 24,
+            alpha_beta_secs: 1e-6,
+            alpha_beta_word_secs: 2e-7,
+            loggp_secs: 2e-6,
+        };
         let rep = ExecutionReport::collect(&sample_sink(), "compiled-pool", Some(model));
         let m = rep.model.expect("model attached");
         assert!((m.words_ratio - 0.5).abs() < 1e-12);
         assert!((m.alpha_beta_ratio - 5e-6 / 1e-6).abs() < 1e-9);
         assert!((m.loggp_ratio - 5e-6 / 2e-6).abs() < 1e-9);
         // Zero-denominator guard: no NaN in ratio columns.
-        let degenerate = ModelRef { comm_words: 0, alpha_beta_secs: 0.0, loggp_secs: 0.0 };
+        let degenerate = ModelRef {
+            comm_words: 0,
+            alpha_beta_secs: 0.0,
+            alpha_beta_word_secs: 0.0,
+            loggp_secs: 0.0,
+        };
         let rep = ExecutionReport::collect(&sample_sink(), "x", Some(degenerate));
         let m = rep.model.expect("model attached");
         assert_eq!((m.words_ratio, m.alpha_beta_ratio, m.loggp_ratio), (0.0, 0.0, 0.0));
     }
 
     #[test]
+    fn model_is_scaled_to_the_batch_width() {
+        // Two iterations at r = 4 staging exactly the modeled 12 words
+        // per column: every staged word carries four values.
+        let sink = TelemetrySink::new(2);
+        for rk in 0..2 {
+            sink.rank(rk).add_counts(0, 0, 2 * 4 * 6);
+        }
+        sink.add_iterations(2, 4);
+        sink.add_wall(8_000);
+        let model = ModelRef {
+            comm_words: 12,
+            alpha_beta_secs: 1e-6,
+            alpha_beta_word_secs: 2e-7,
+            loggp_secs: 2e-6,
+        };
+        let rep = ExecutionReport::collect(&sink, "compiled-seq", Some(model));
+        assert_eq!(rep.width, 4.0);
+        let m = rep.model.expect("model attached");
+        assert_eq!(m.modeled_comm_words, 48);
+        assert_eq!(m.words_ratio, 1.0);
+        // Only the β-term scales: 1 us + 3 × 0.2 us.
+        assert!((m.alpha_beta_secs - 1.6e-6).abs() < 1e-15);
+        assert!((m.alpha_beta_ratio - 4e-6 / 1.6e-6).abs() < 1e-9);
+        assert_eq!(m.loggp_secs, 2e-6);
+        assert!(rep.render().contains("k = 2, r = 4, 2 iterations"));
+        // A run that never applied reports width 1, not NaN.
+        assert_eq!(ExecutionReport::collect(&TelemetrySink::new(1), "x", None).width, 1.0);
+    }
+
+    #[test]
     fn json_schema_is_stable_and_roundtrips() {
-        let model = ModelRef { comm_words: 24, alpha_beta_secs: 1e-6, loggp_secs: 2e-6 };
+        let model = ModelRef {
+            comm_words: 24,
+            alpha_beta_secs: 1e-6,
+            alpha_beta_word_secs: 2e-7,
+            loggp_secs: 2e-6,
+        };
         let rep = ExecutionReport::collect(&sample_sink(), "compiled-seq", Some(model));
         let json = rep.to_json();
         // Balanced structure.
@@ -515,6 +584,7 @@ mod tests {
         // Scalar fields round-trip through the serialized text.
         assert_eq!(field(&json, "backend"), "\"compiled-seq\"");
         assert_eq!(field(&json, "k").parse::<usize>().unwrap(), rep.k);
+        assert_eq!(field(&json, "width").parse::<f64>().unwrap(), rep.width);
         assert_eq!(field(&json, "iterations").parse::<u64>().unwrap(), rep.iterations);
         assert_eq!(field(&json, "wall_ns").parse::<u64>().unwrap(), rep.wall_nanos);
         assert_eq!(field(&json, "solver_iters").parse::<u64>().unwrap(), rep.solver_iters);
@@ -608,7 +678,12 @@ mod tests {
 
     #[test]
     fn render_mentions_every_rank_and_summary() {
-        let model = ModelRef { comm_words: 24, alpha_beta_secs: 1e-6, loggp_secs: 2e-6 };
+        let model = ModelRef {
+            comm_words: 24,
+            alpha_beta_secs: 1e-6,
+            alpha_beta_word_secs: 2e-7,
+            loggp_secs: 2e-6,
+        };
         let rep = ExecutionReport::collect(&sample_sink(), "compiled-pool", Some(model));
         let text = rep.render();
         assert!(text.contains("backend compiled-pool"));

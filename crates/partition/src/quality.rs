@@ -40,6 +40,9 @@ pub struct PartitionQuality {
     pub comm_phases: usize,
     /// Modeled per-iteration time under the α–β–γ model (seconds).
     pub alpha_beta_time: f64,
+    /// The β (per-word) term of `alpha_beta_time` (seconds): the part
+    /// that scales with the batch width of a multi-vector product.
+    pub alpha_beta_word_time: f64,
     /// Modeled per-iteration time under the LogGP model (seconds).
     pub loggp_time: f64,
     /// Modeled speedup over serial under the α–β–γ model (the paper's
@@ -78,7 +81,11 @@ impl PartitionQuality {
         strategy: impl Into<String>,
     ) -> Self {
         let stats: CommStats = plan.comm_stats();
-        let ab = simulate_plan(plan, &MachineModel::cray_xe6());
+        let machine = MachineModel::cray_xe6();
+        let ab = simulate_plan(plan, &machine);
+        // The α–β phase time is linear in β, so pricing the plan on a
+        // words-only machine isolates the β-term.
+        let words_only = MachineModel { alpha: 0.0, gamma: 0.0, ..machine };
         let lg = simulate_loggp(
             plan.k,
             &to_phase_specs(plan),
@@ -100,6 +107,7 @@ impl PartitionQuality {
             max_send_volume: stats.max_send_volume(),
             comm_phases,
             alpha_beta_time: ab.parallel_time,
+            alpha_beta_word_time: simulate_plan(plan, &words_only).parallel_time,
             loggp_time: lg.parallel_time,
             speedup: ab.speedup(),
         }

@@ -28,8 +28,10 @@ use crate::tuner::TunedChoice;
 ///
 /// History: 1 = the original (strategy, plan, format, backend, width)
 /// space; 2 added the kernel-ISA axis and the pool thread-count
-/// shortlist.
-pub const TUNER_VERSION: u32 = 2;
+/// shortlist; 3 re-times the seq-vs-pool and thread-count picks on the
+/// pool whose calling thread runs worker 0's share (a version-2 verdict
+/// was measured on a pool that ran one more thread than workers).
+pub const TUNER_VERSION: u32 = 3;
 
 /// One measured verdict: for this (matrix, k, width), this
 /// configuration won at this per-application cost.

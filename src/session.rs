@@ -483,6 +483,7 @@ impl Session {
             let model = ModelRef {
                 comm_words: quality.volume,
                 alpha_beta_secs: quality.alpha_beta_time,
+                alpha_beta_word_secs: quality.alpha_beta_word_time,
                 loggp_secs: quality.loggp_time,
             };
             let report = ExecutionReport::collect(sink, self.backend.label(), Some(model));
@@ -679,6 +680,46 @@ mod tests {
         let s = Session::builder(&a).partition(&p).build();
         assert!(s.telemetry_sink().is_none());
         assert!(s.report().is_none());
+    }
+
+    #[test]
+    fn report_words_ratio_is_width_normalized() {
+        // `profile --rhs r` on crystk02/tiny at k = 8: each staged word
+        // carries r values, and the report scales the width-1 model by
+        // r, so the staged exchange reads exactly the modeled volume.
+        let spec = s2d_gen::suites::suite_a()
+            .into_iter()
+            .find(|s| s.name == "crystk02")
+            .expect("crystk02 is in suite A");
+        let a = spec.generate(s2d_gen::suites::Scale::Tiny, 1);
+        let p = "s2d".parse::<Strategy>().unwrap().partition_with(
+            &a,
+            8,
+            &PartitionerConfig { epsilon: 0.10, seed: 1 },
+        );
+        for backend in [Backend::CompiledSeq, Backend::CompiledPool { threads: 2, pin: false }] {
+            for r in [1usize, 4, 8] {
+                let mut s = Session::builder(&a)
+                    .partition(&p)
+                    .backend(backend)
+                    .batch_width(r)
+                    .telemetry(true)
+                    .build();
+                let x = vec![1.0; a.ncols() * r];
+                let mut y = vec![0.0; a.nrows() * r];
+                s.apply_batch_iters(&x, &mut y, r, 3);
+                let report = s.report().expect("telemetry was requested");
+                assert_eq!(report.width, r as f64);
+                let m = report.model.expect("session reports carry the model");
+                assert_eq!(m.modeled_comm_words, s.quality().unwrap().volume * r as u64);
+                assert!(
+                    (m.words_ratio - 1.0).abs() < 1e-12,
+                    "{backend} r = {r}: words ratio {}",
+                    m.words_ratio
+                );
+                assert!(report.render().contains(&format!("k = 8, r = {r},")));
+            }
+        }
     }
 
     #[test]
