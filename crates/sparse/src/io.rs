@@ -7,7 +7,10 @@
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-use crate::Coo;
+use crate::{Coo, Idx};
+
+/// Most triplets [`read_matrix_market`] reserves before reading any.
+const RESERVE_CAP: usize = 1 << 16;
 
 /// Errors produced by the Matrix Market parser.
 #[derive(Debug)]
@@ -100,9 +103,15 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<Coo, MmError> {
         return Err(parse_err("size line must contain `nrows ncols nnz`"));
     }
     let (nrows, ncols, nnz) = (dims[0], dims[1], dims[2]);
+    if nrows > Idx::MAX as usize || ncols > Idx::MAX as usize {
+        return Err(parse_err(format!("{nrows} x {ncols} exceeds the 32-bit index range")));
+    }
 
-    let cap = if symmetry == Symmetry::General { nnz } else { 2 * nnz };
-    let mut coo = Coo::with_capacity(nrows, ncols, cap);
+    // The size line is untrusted: reserve at most RESERVE_CAP entries up
+    // front and let the arrays grow as entries actually arrive.
+    let cap = if symmetry == Symmetry::General { Some(nnz) } else { nnz.checked_mul(2) }
+        .ok_or_else(|| parse_err(format!("entry count {nnz} overflows when mirrored")))?;
+    let mut coo = Coo::with_capacity(nrows, ncols, cap.min(RESERVE_CAP));
     let mut seen = 0usize;
     for line in lines {
         let line = line?;
@@ -182,6 +191,22 @@ mod tests {
         let m = read_matrix_market(src.as_bytes()).expect("parse");
         let got: Vec<_> = m.iter().collect();
         assert_eq!(got, vec![(0, 1, 5.0), (2, 2, -1.0)]);
+    }
+
+    #[test]
+    fn hostile_size_lines_are_errors() {
+        // Far more entries than any buffer could hold: an Err once the
+        // body runs out, not a capacity-overflow panic.
+        let huge = "%%MatrixMarket matrix coordinate real general\n1 1 4611686018427387904\n";
+        assert!(read_matrix_market(huge.as_bytes()).is_err());
+        let mirrored = format!(
+            "%%MatrixMarket matrix coordinate real symmetric\n1 1 {}\n1 1 1.0\n",
+            usize::MAX
+        );
+        assert!(read_matrix_market(mirrored.as_bytes()).is_err());
+        let wide =
+            format!("%%MatrixMarket matrix coordinate pattern general\n1 {} 0\n", 1u64 << 40);
+        assert!(read_matrix_market(wide.as_bytes()).is_err());
     }
 
     #[test]

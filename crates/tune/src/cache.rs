@@ -88,17 +88,44 @@ impl TuningCache {
     }
 
     /// Writes the cache back to its path (creating parent directories
-    /// as needed). Unlike the read path this *does* surface I/O errors
-    /// — a caller that asked to persist should know when it didn't —
-    /// but the tuner treats a failed store as best-effort and carries
-    /// on with its in-memory verdict.
+    /// as needed), merged with the verdicts already on disk: for the
+    /// same key this cache's entry wins, every other stored entry is
+    /// kept. Unlike the read path this *does* surface I/O errors — a
+    /// caller that asked to persist should know when it didn't — but the
+    /// tuner treats a failed store as best-effort and carries on with
+    /// its in-memory verdict.
+    ///
+    /// The store is atomic: the merged file is written next to the cache
+    /// and renamed over it, so a concurrent [`TuningCache::load`] sees
+    /// the old file or the new one, never a torn one. Writers serialize
+    /// on an exclusive lock of a `<path>.lock` file beside the cache, so
+    /// racing stores (threads or processes) lose no entries.
     pub fn store(&self) -> std::io::Result<()> {
         if let Some(dir) = self.path.parent() {
             if !dir.as_os_str().is_empty() {
                 std::fs::create_dir_all(dir)?;
             }
         }
-        std::fs::write(&self.path, self.to_json())
+        let lock = std::fs::OpenOptions::new()
+            .create(true)
+            .truncate(false)
+            .write(true)
+            .open(self.sibling(".lock"))?;
+        lock.lock()?;
+        let mut merged = TuningCache::load(&self.path);
+        for &e in &self.entries {
+            merged.insert(e);
+        }
+        let tmp = self.sibling(".tmp");
+        std::fs::write(&tmp, merged.to_json())?;
+        std::fs::rename(&tmp, &self.path)
+    }
+
+    /// The cache path with `suffix` appended to its file name.
+    fn sibling(&self, suffix: &str) -> PathBuf {
+        let mut name = self.path.as_os_str().to_owned();
+        name.push(suffix);
+        PathBuf::from(name)
     }
 
     /// Number of cached verdicts.
@@ -260,6 +287,60 @@ mod tests {
         assert_eq!(c.len(), 2);
         assert_eq!(c.lookup(entry(1, 0.0).key).unwrap().secs, 0.25);
         assert!(c.lookup(ConfigKey { fingerprint: 1, k: 4, width: 4 }).is_none(), "width differs");
+    }
+
+    #[test]
+    fn concurrent_stores_merge_without_losing_entries() {
+        let dir = std::env::temp_dir().join("s2d-tune-cache-unit");
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join(format!("concurrent-{}.json", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let gate = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for t in 0..2u64 {
+                let (path, gate) = (&path, &gate);
+                s.spawn(move || {
+                    let mut c = TuningCache::load(path);
+                    gate.wait();
+                    // Store after every insert: each store races the
+                    // other thread's.
+                    for i in 0..25 {
+                        c.insert(entry(t * 1000 + i, 0.5));
+                        c.store().expect("store");
+                    }
+                });
+            }
+        });
+        let text = std::fs::read_to_string(&path).expect("stored file");
+        let back = parse_file(&text).expect("the file parses");
+        assert_eq!(back.len(), 50, "both threads' entries survive");
+        for fp in (0..25).chain(1000..1025) {
+            assert!(back.iter().any(|e| e.key.fingerprint == fp), "entry {fp} lost");
+        }
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(path.with_extension("json.lock"));
+    }
+
+    #[test]
+    fn store_keeps_disk_entries_and_overrides_same_key() {
+        let dir = std::env::temp_dir().join("s2d-tune-cache-unit");
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join(format!("merge-{}.json", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let mut first = TuningCache::load(&path);
+        first.insert(entry(1, 0.5));
+        first.insert(entry(2, 0.5));
+        first.store().expect("store");
+        let mut second = TuningCache { path: path.clone(), entries: Vec::new() };
+        second.insert(entry(2, 0.25));
+        second.insert(entry(3, 0.75));
+        second.store().expect("store");
+        let back = TuningCache::load(&path);
+        assert_eq!(back.len(), 3);
+        assert_eq!(back.lookup(entry(1, 0.0).key).unwrap().secs, 0.5, "disk entry kept");
+        assert_eq!(back.lookup(entry(2, 0.0).key).unwrap().secs, 0.25, "own entry wins");
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(path.with_extension("json.lock"));
     }
 
     #[test]

@@ -10,11 +10,25 @@ use s2d::core::heuristic::{s2d_from_vector_partition, HeuristicConfig};
 use s2d::core::mesh::{mesh_dims, MeshRouting};
 use s2d::core::optimal::s2d_optimal;
 use s2d::core::SpmvPartition;
-use s2d::gen::{suite_a, suite_b, Scale};
+use s2d::gen::{rmat, suite_a, suite_b, RmatConfig, Scale};
 use s2d::sparse::Csr;
 
 fn tiny(idx: usize, seed: u64) -> Csr {
     suite_a()[idx].generate(Scale::Tiny, seed)
+}
+
+#[test]
+fn rowwise_partition_of_rmat12_is_pinned() {
+    // The multilevel partitioner must keep producing these exact owners
+    // (FNV-1a over the little-endian part ids): a faster coarsening,
+    // initial bisection or refinement has to be a bitwise-equal one.
+    let a = rmat(&RmatConfig::graph500(12, 8), 1).to_csr();
+    let row_part = partition_1d_rowwise(&a, 16, 0.03, 1).row_part;
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in row_part.iter().flat_map(|p| p.to_le_bytes()) {
+        h = (h ^ b as u64).wrapping_mul(0x1000_0000_01b3);
+    }
+    assert_eq!(h, 0x5191_59ad_2be9_d9e9, "R-MAT 12, k = 16 row owners changed");
 }
 
 #[test]
